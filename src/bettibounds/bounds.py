@@ -12,22 +12,26 @@ and more generally, for a module with invariants (codim, pdim, reg, beta_0),
 
 Specializations cover Veronese embeddings of projective space (codim = pdim
 = C(n+d, n) - n - 1, reg <= n) and an arbitrary embedded variety in terms of
-dim |L|, dim X and the regularity.  Everything here is exact rational
-arithmetic; binomials whose decimal size would exceed a configurable budget
-are refused with ``TooLarge`` so callers can switch to the log-space
-estimators in :mod:`bettibounds.estimation`.
+dim |L|, dim X and the regularity.  All four have the shape
+beta0 * C(a, i) * b**-reg <= beta_i <= beta0 * C(c, i) * d**reg, a <= c, b <= d.
+
+Everything here is exact rational arithmetic.  Each exact factor of an upper
+bound, its binomial and its power, may have at most ``digit_budget`` decimal
+digits; past it the call raises ``TooLarge``, so callers can switch to the
+digit brackets of :mod:`bettibounds.estimation`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError, TooLarge
+from .estimation import DEFAULT_PRECISION, ln_bracket, log_binomial_bracket, veronese_codim
+from .estimation import _check_module, _check_variety
 
-#: Default budget for exact binomials, in decimal digits.
+#: Default budget for each exact factor of a bound, in decimal digits.
 DEFAULT_DIGIT_BUDGET = 10**6
 
 
@@ -49,18 +53,6 @@ class BoundPair:
         return self.lower <= Fraction(value) <= self.upper
 
 
-@dataclass(frozen=True)
-class VeroneseParams:
-    """Parameters of the degree-d Veronese embedding of n-space.
-
-    codim = C(n+d, n) - n - 1 is the codimension of the image.
-    """
-
-    n: int
-    d: int
-    codim: int
-
-
 def binomial(n: int, k: int) -> int:
     """Exact C(n, k); 0 when k < 0 or k > n.  Requires n >= 0."""
     if n < 0:
@@ -76,59 +68,81 @@ def ndigits(x: int) -> int:
         raise DomainError("ndigits expects a nonnegative integer")
     if x == 0:
         return 1
-    # Decimal conversion is exact and immune to int->str length limits.
-    return Decimal(x).adjusted() + 1
+    # 2**(b-1) <= x < 2**b and 0.30102999566 < log10(2) < 0.30103 give
+    # k <= floor(log10 x) <= top with top - k <= 1 below 40 million digits,
+    # so at most one power of ten settles the count.
+    b = x.bit_length()
+    k, top = (b - 1) * 30102999566 // 10**11, b * 30103 // 10**5
+    while k < top and x >= 10 ** (k + 1):
+        k += 1
+    return k + 1
 
 
-def ensure_binomial_budget(n: int, k: int, digit_budget: int) -> None:
-    """Raise TooLarge when C(n, k) has more than digit_budget decimal digits.
+def _within_budget(compute, bits: int, log_bracket, scale: int, digit_budget: int, error):
+    """compute() when its value x has at most digit_budget digits, else raise error.
 
-    Fast float estimates decide clear-cut cases; anything within their
-    uncertainty band is settled by exact computation, so the decision is
+    x < 2**bits settles most cases without a logarithm.  Otherwise
+    scale * log_bracket() encloses ln x, and since x fits iff
+    x < 10**digit_budget, it decides unless it straddles digit_budget * ln 10;
+    only then are the digits of x counted.
+    """
+    if bits * 30103 // 10**5 < digit_budget:  # 0.30103 > log10(2)
+        return compute()
+    bracket, ln10 = log_bracket(), ln_bracket(10)
+    if scale * Fraction(bracket.lo) >= digit_budget * Fraction(ln10.hi):
+        raise error
+    value = compute()
+    straddles = scale * Fraction(bracket.hi) >= digit_budget * Fraction(ln10.lo)
+    if straddles and ndigits(value) > digit_budget:
+        raise error
+    return value
+
+
+def ensure_binomial_budget(n: int, k: int, digit_budget: int) -> int:
+    """Exact C(n, k) (0 when k < 0 or k > n), or TooLarge when it has more
+    than digit_budget decimal digits.
+
+    C(n, k) < 2**min(n, k * n.bit_length()) decides most cases at once; the
+    others go to a sound log bracket, whose precision grows with the size of
+    n so that its rounding error stays far below one digit.  The decision is
     always exact.
     """
-    if n < 0 or k < 0 or k > n:
-        return
-    k = min(k, n - k)
-    if k == 0:
-        return
-    if k > 4 * digit_budget + 4:
-        raise TooLarge(n, k, digit_budget)  # C(n, k) >= 2**k already too big
-    ln10 = math.log(10)
-    if n <= 10**14:
-        # log-gamma difference is accurate to well under a digit here
-        estimate = (
-            math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        ) / ln10
-        lower_est = upper_est = estimate
-        margin = 16.0
-    else:
-        # beyond float range for lgamma differences: sound coarse bounds
-        # (n/k)**k <= C(n, k) <= n**k / k!   (math.log10 accepts big ints)
-        lower_est = k * (math.log10(n) - math.log10(k))
-        upper_est = k * math.log10(n) - math.lgamma(k + 1) / ln10 + 1
-        margin = 2.0
-    if lower_est > digit_budget + margin:
-        raise TooLarge(n, k, digit_budget)
-    if upper_est <= digit_budget - margin:
-        return
-    if ndigits(math.comb(n, k)) > digit_budget:
-        raise TooLarge(n, k, digit_budget)
+    j = min(k, n - k)
+    if j <= 0:
+        return 1 if j == 0 else 0
+    prec = DEFAULT_PRECISION + n.bit_length() // 3
+    return _within_budget(lambda: math.comb(n, j), min(n, j * n.bit_length()),
+                          lambda: log_binomial_bracket(n, j, prec), 1,
+                          digit_budget, TooLarge(n, k, digit_budget))
 
 
-def _guarded_binomial(n: int, k: int, digit_budget: int) -> int:
-    """Exact C(n, k), refused with TooLarge above the digit budget."""
-    if k < 0 or k > n:
-        return 0
-    ensure_binomial_budget(n, k, digit_budget)
-    return math.comb(n, k)
+def _bound_pair(lower_top: int, lower_base: int, upper_top: int, upper_base: int,
+                reg: int, beta0, i: int, digit_budget: int) -> BoundPair:
+    """beta0 * C(lower_top, i) * lower_base**-reg and
+    beta0 * C(upper_top, i) * upper_base**reg, exactly.
+
+    A base of 0 reads base**reg as 1.  The budget guards the upper bound's
+    binomial and power; the lower bound's are never larger, since
+    lower_top <= upper_top and lower_base <= upper_base.
+    """
+    upper_binomial = ensure_binomial_budget(upper_top, i, digit_budget)
+    if upper_binomial == 0:  # then C(lower_top, i) = 0 as well
+        return BoundPair(Fraction(0), Fraction(0))
+    upper_power = 1 if upper_base < 2 else _within_budget(
+        lambda: upper_base**reg, reg * upper_base.bit_length(), lambda: ln_bracket(upper_base),
+        reg, digit_budget, TooLarge(upper_base, reg, digit_budget, power=True))
+    lower_binomial = upper_binomial if lower_top == upper_top else binomial(lower_top, i)
+    lower_power = upper_power if lower_base == upper_base else lower_base**reg if lower_base else 1
+    beta0 = Fraction(beta0)
+    return BoundPair(beta0 * lower_binomial / lower_power, beta0 * upper_binomial * upper_power)
 
 
-def pure_bounds(n: int, r: int, i: int) -> BoundPair:
+def pure_bounds(n: int, r: int, i: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> BoundPair:
     """Bounds C(n,i)*n**-r <= beta_i <= C(n,i)*n**r for pure diagrams.
 
     Valid for every length-n degree sequence starting at 0 with last entry
-    at most n + r.  Exact rationals; i above n yields (0, 0).
+    at most n + r.  Exact rationals; i above n yields (0, 0).  Raises
+    TooLarge when C(n, i) or n**r would exceed the digit budget.
     """
     if n < 1:
         raise DomainError(f"sequence length must be at least 1, got {n}")
@@ -136,11 +150,7 @@ def pure_bounds(n: int, r: int, i: int) -> BoundPair:
         raise DomainError(f"row slack must be nonnegative, got {r}")
     if i < 0:
         raise DomainError(f"column index must be nonnegative, got {i}")
-    if i > n:
-        return BoundPair(Fraction(0), Fraction(0))
-    c = Fraction(binomial(n, i))
-    spread = Fraction(n) ** r
-    return BoundPair(c / spread, c * spread)
+    return _bound_pair(n, n, n, n, r, 1, i, digit_budget)
 
 
 def extremal_sequences(
@@ -170,7 +180,9 @@ def extremal_sequences(
     return d_min, d_max
 
 
-def algebraic_bounds(codim: int, pdim: int, reg: int, beta0, i: int) -> BoundPair:
+def algebraic_bounds(
+    codim: int, pdim: int, reg: int, beta0, i: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
+) -> BoundPair:
     """Bounds on beta_i for a module generated in a single degree.
 
     lower = beta0 * C(codim, i) * codim**-reg
@@ -178,39 +190,11 @@ def algebraic_bounds(codim: int, pdim: int, reg: int, beta0, i: int) -> BoundPai
 
     Degenerate conventions: codim = 0 gives lower beta0 for i = 0 (a free
     module is its own resolution) and 0 for i > 0; pdim = 0 reads
-    pdim**reg as 1.  Indices above pdim yield (0, 0).
+    pdim**reg as 1.  Indices above pdim yield (0, 0).  Raises TooLarge when
+    C(pdim, i) or pdim**reg would exceed the digit budget.
     """
-    if codim < 0:
-        raise DomainError(f"codim must be nonnegative, got {codim}")
-    if pdim < codim:
-        raise DomainError(f"pdim ({pdim}) must be at least codim ({codim})")
-    if reg < 0:
-        raise DomainError(f"regularity must be nonnegative, got {reg}")
-    beta0 = Fraction(beta0)
-    if beta0 <= 0:
-        raise DomainError(f"beta0 must be positive, got {beta0}")
-    if i < 0:
-        raise DomainError(f"column index must be nonnegative, got {i}")
-
-    if codim == 0:
-        lower = beta0 if i == 0 else Fraction(0)
-    else:
-        lower = beta0 * binomial(codim, i) / Fraction(codim) ** reg
-
-    if i > pdim:
-        upper = Fraction(0)
-    elif pdim == 0:
-        upper = beta0  # C(0, 0) with 0**reg read as 1
-    else:
-        upper = beta0 * binomial(pdim, i) * Fraction(pdim) ** reg
-    return BoundPair(lower, upper)
-
-
-def veronese_codim(n: int, d: int) -> VeroneseParams:
-    """Codimension C(n+d, n) - n - 1 of the degree-d Veronese of n-space."""
-    if n < 1 or d < 1:
-        raise DomainError(f"veronese_codim requires n, d >= 1, got ({n}, {d})")
-    return VeroneseParams(n=n, d=d, codim=math.comb(n + d, n) - n - 1)
+    beta0 = _check_module(codim, pdim, reg, beta0, i)
+    return _bound_pair(codim, codim, pdim, pdim, reg, beta0, i, digit_budget)
 
 
 def veronese_bounds(
@@ -220,19 +204,14 @@ def veronese_bounds(
 
     N is the codimension from :func:`veronese_codim`; the regularity of the
     coordinate ring is at most n, which fixes the error factor N**(+-n).
-    Raises TooLarge when C(N, i) would exceed the digit budget and
-    DomainError when i lies outside [0, N].
+    Raises TooLarge when C(N, i) or N**n would exceed the digit budget and
+    DomainError when i lies outside [0, N].  The degenerate embedding
+    (n = d = 1, N = 0) follows the free-module conventions.
     """
-    params = veronese_codim(n, d)
-    big_n = params.codim
+    big_n = veronese_codim(n, d).codim
     if not 0 <= i <= big_n:
         raise DomainError(f"column index must lie in [0, {big_n}], got {i}")
-    if big_n == 0:
-        # Degenerate embedding (n = d = 1): the free-module conventions apply.
-        return algebraic_bounds(0, 0, n, 1, i)
-    c = Fraction(_guarded_binomial(big_n, i, digit_budget))
-    spread = Fraction(big_n) ** n
-    return BoundPair(c / spread, c * spread)
+    return _bound_pair(big_n, big_n, big_n, big_n, n, 1, i, digit_budget)
 
 
 def variety_bounds(
@@ -245,20 +224,10 @@ def variety_bounds(
 
     dim_l is the projective dimension of the system, dim_x the dimension of
     the variety and reg the regularity of its coordinate ring.  Raises
-    TooLarge when either binomial would exceed the digit budget.
+    TooLarge when C(dim_l, i) or dim_l**reg would exceed the digit budget.
     """
-    if dim_l < 1:
-        raise DomainError(f"dim_l must be positive, got {dim_l}")
-    if not 0 <= dim_x <= dim_l:
-        raise DomainError(f"dim_x must lie in [0, {dim_l}], got {dim_x}")
-    if reg < 0:
-        raise DomainError(f"regularity must be nonnegative, got {reg}")
-    if i < 0:
-        raise DomainError(f"column index must be nonnegative, got {i}")
-    spread = Fraction(dim_l) ** reg
-    lower = Fraction(_guarded_binomial(dim_l - dim_x, i, digit_budget)) / spread
-    upper = Fraction(_guarded_binomial(dim_l, i, digit_budget)) * spread
-    return BoundPair(lower, upper)
+    _check_variety(dim_l, dim_x, reg, i)
+    return _bound_pair(dim_l - dim_x, dim_l, dim_l, dim_l, reg, 1, i, digit_budget)
 
 
 def hypersurface_dim_l(m: int, delta: int, e: int) -> int:

@@ -24,13 +24,6 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, NegativeEntry
 
-#: Exact rational type used throughout (reduced, positive denominator).
-Rational = Fraction
-
-#: A degree sequence: strictly increasing tuple of integers.
-DegreeSequence = tuple
-
-
 def degree_sequence(degrees: Iterable[int]) -> tuple[int, ...]:
     """Validate and normalize a degree sequence to a tuple of ints.
 
@@ -202,11 +195,6 @@ def pure_diagram(degrees: Iterable[int]) -> BettiTable:
                 denominator *= abs(dj - di)
         entries[i, di] = Fraction(numerator, denominator)
     return BettiTable(entries)
-
-
-def total_betti(table: BettiTable, i: int) -> Fraction:
-    """Functional alias for ``table.total(i)``."""
-    return table.total(i)
 
 
 def format_diagram(table: BettiTable, absent: str = ".") -> str:

@@ -44,14 +44,15 @@ class NotInBSCone(BettiError):
 
 
 class TooLarge(BettiError):
-    """An exact binomial coefficient would exceed the configured digit budget."""
+    """An exact factor of a bound, C(n, k) or n**k, would exceed the digit budget."""
 
-    def __init__(self, n, k, digit_budget):
+    def __init__(self, n, k, digit_budget, power=False):
         self.n = n
         self.k = k
         self.digit_budget = digit_budget
+        self.factor = f"{n}**{k}" if power else f"C({n}, {k})"
         super().__init__(
-            f"C({n}, {k}) exceeds the exact-arithmetic budget of "
+            f"{self.factor} exceeds the exact-arithmetic budget of "
             f"{digit_budget} decimal digits; use the digit-bracket estimator"
         )
 

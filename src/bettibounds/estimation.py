@@ -25,6 +25,11 @@ contain the true value.  Soundness rests on two mechanisms:
 
 Precision is always an explicit argument; nothing here mutates global
 decimal state, and all functions are pure.
+
+The digit brackets of all bound targets share one private bracket of the
+shape of the exact bounds in :mod:`bettibounds.bounds`, which imports this
+module (its size oracle, ``veronese_codim``, the argument checks), never the
+reverse.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from fractions import Fraction
 from functools import lru_cache
 
-from .bounds import veronese_codim
 from .errors import DomainError
 
 #: Default working precision (significant decimal digits).
@@ -90,6 +95,53 @@ class DigitBracket:
     @property
     def digits_hi(self) -> int:
         return self.exp_hi + 1
+
+
+@dataclass(frozen=True)
+class VeroneseParams:
+    """Parameters of the degree-d Veronese embedding of n-space.
+
+    codim = C(n+d, n) - n - 1 is the codimension of the image.
+    """
+
+    n: int
+    d: int
+    codim: int
+
+
+def veronese_codim(n: int, d: int) -> VeroneseParams:
+    """Codimension C(n+d, n) - n - 1 of the degree-d Veronese of n-space."""
+    if n < 1 or d < 1:
+        raise DomainError(f"veronese_codim requires n, d >= 1, got ({n}, {d})")
+    return VeroneseParams(n=n, d=d, codim=math.comb(n + d, n) - n - 1)
+
+
+def _check_module(codim: int, pdim: int, reg: int, beta0, i: int) -> Fraction:
+    """Validate module-bound arguments (exact or bracketed); returns beta0 as a Fraction."""
+    if codim < 0:
+        raise DomainError(f"codim must be nonnegative, got {codim}")
+    if pdim < codim:
+        raise DomainError(f"pdim ({pdim}) must be at least codim ({codim})")
+    if reg < 0:
+        raise DomainError(f"regularity must be nonnegative, got {reg}")
+    beta0 = Fraction(beta0)
+    if beta0 <= 0:
+        raise DomainError(f"beta0 must be positive, got {beta0}")
+    if i < 0:
+        raise DomainError(f"column index must be nonnegative, got {i}")
+    return beta0
+
+
+def _check_variety(dim_l: int, dim_x: int, reg: int, i: int) -> None:
+    """Validate variety-bound arguments (exact or bracketed)."""
+    if dim_l < 1:
+        raise DomainError(f"dim_l must be positive, got {dim_l}")
+    if not 0 <= dim_x <= dim_l:
+        raise DomainError(f"dim_x must lie in [0, {dim_l}], got {dim_x}")
+    if reg < 0:
+        raise DomainError(f"regularity must be nonnegative, got {reg}")
+    if i < 0:
+        raise DomainError(f"column index must be nonnegative, got {i}")
 
 
 def _contexts(prec: int) -> tuple[Context, Context]:
@@ -247,20 +299,42 @@ def _digit_exponents(lo_nat: Decimal, hi_nat: Decimal, prec: int) -> DigitBracke
     return DigitBracket(exp_lo, exp_hi)
 
 
-def _power_adjusted_exponents(
-    binom_lo: Decimal,
-    binom_hi: Decimal,
-    base: int,
-    exponent: int,
-    prec: int,
-) -> DigitBracket:
-    """Exponents of [binom_lo - e*ln(base), binom_hi + e*ln(base)]."""
+def _digit_bracket(lower_top: int, lower_base: int, upper_top: int, upper_base: int,
+                   reg: int, beta0, i: int, prec: int, paper_constants: bool) -> DigitBracket:
+    """Certifies 10**exp_lo <= beta0 * C(lower_top, i) * lower_base**-reg and
+    beta0 * C(upper_top, i) * upper_base**reg <= 10**exp_hi.
+
+    A base of 0 reads base**reg as 1.  Requires i <= lower_top: otherwise the
+    lower bound is zero and has no digit count.
+    """
+    if i > lower_top:
+        raise DomainError(f"column index {i} exceeds {lower_top}; the lower bound is zero")
+    # A top of 0 comes only with i = 0, and C(0, 0) = C(1, 0) = 1: max(top, 1)
+    # gives log_binomial_bracket the top >= 1 it requires.
+    high = log_binomial_bracket(max(upper_top, 1), i, prec, paper_constants=paper_constants)
+    low = high if lower_top == upper_top else log_binomial_bracket(
+        max(lower_top, 1), i, prec, paper_constants=paper_constants)
+    beta0 = Fraction(beta0)
+    beta0_terms = [(1, beta0.numerator), (-1, beta0.denominator)]
     down, up = _contexts(prec)
-    _, ln_base_hi = _ln_enclosure(base, prec)
-    shift = up.multiply(Decimal(exponent), ln_base_hi)
-    lo_nat = down.subtract(binom_lo, shift)
-    hi_nat = up.add(binom_hi, shift)
+    lo_nat = down.add(low.lo, _sum_down([(-reg, lower_base or 1)] + beta0_terms, 0, prec))
+    hi_nat = up.add(high.hi, _sum_up([(reg, upper_base or 1)] + beta0_terms, 0, prec))
     return _digit_exponents(lo_nat, hi_nat, prec)
+
+
+def algebraic_digit_bracket(
+    codim: int, pdim: int, reg: int, beta0, i: int,
+    prec: int = DEFAULT_PRECISION, paper_constants: bool = False,
+) -> DigitBracket:
+    """Digit bracket for the module bounds of :func:`bounds.algebraic_bounds`.
+
+    exp_lo bounds beta0 * C(codim, i) * codim**-reg from below and exp_hi
+    bounds beta0 * C(pdim, i) * pdim**reg from above; the pure-diagram bounds
+    are the case (N, N, r, 1, i).  Requires i <= codim (otherwise the lower
+    bound is zero and has no digit count).
+    """
+    beta0 = _check_module(codim, pdim, reg, beta0, i)
+    return _digit_bracket(codim, codim, pdim, pdim, reg, beta0, i, prec, paper_constants)
 
 
 def veronese_digit_bracket(
@@ -278,8 +352,7 @@ def veronese_digit_bracket(
     big_n = veronese_codim(n, d).codim
     if not 0 < i < big_n:
         raise DomainError(f"column index must lie strictly inside (0, {big_n}), got {i}")
-    bb = log_binomial_bracket(big_n, i, prec, paper_constants=paper_constants)
-    return _power_adjusted_exponents(bb.lo, bb.hi, big_n, n, prec)
+    return _digit_bracket(big_n, big_n, big_n, big_n, n, 1, i, prec, paper_constants)
 
 
 def variety_digit_bracket(
@@ -297,19 +370,7 @@ def variety_digit_bracket(
     i <= dim_l - dim_x (otherwise the lower bound is zero and has no digit
     count).
     """
-    if dim_l < 1:
-        raise DomainError(f"dim_l must be positive, got {dim_l}")
-    if not 0 <= dim_x <= dim_l:
-        raise DomainError(f"dim_x must lie in [0, {dim_l}], got {dim_x}")
-    if reg < 0:
-        raise DomainError(f"regularity must be nonnegative, got {reg}")
+    _check_variety(dim_l, dim_x, reg, i)
     if not 0 < i < dim_l:
         raise DomainError(f"column index must lie strictly inside (0, {dim_l}), got {i}")
-    codim = dim_l - dim_x
-    if i > codim:
-        raise DomainError(
-            f"column index {i} exceeds dim_l - dim_x = {codim}; the lower bound is zero"
-        )
-    bb_low = log_binomial_bracket(codim, i, prec, paper_constants=paper_constants)
-    bb_high = log_binomial_bracket(dim_l, i, prec, paper_constants=paper_constants)
-    return _power_adjusted_exponents(bb_low.lo, bb_high.hi, dim_l, reg, prec)
+    return _digit_bracket(dim_l - dim_x, dim_l, dim_l, dim_l, reg, 1, i, prec, paper_constants)

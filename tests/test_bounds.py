@@ -20,6 +20,7 @@ from bettibounds import (
     veronese_bounds,
     veronese_codim,
 )
+from bettibounds.bounds import ensure_binomial_budget
 from conftest import enumerate_pure_sequences, pascal_binomial
 
 
@@ -48,6 +49,47 @@ def test_ndigits():
     assert ndigits(10) == 2
     assert ndigits(10**100) == 101
     assert ndigits(10**100 - 1) == 100
+
+
+def test_ndigits_at_powers_of_two_and_ten():
+    # the count starts from bit_length(), so probe both kinds of boundary
+    for k in range(1, 700):
+        for x in (10**k - 1, 10**k, 10**k + 1, 2**k - 1, 2**k, 2**k + 1):
+            assert ndigits(x) == len(str(x)), x
+
+
+def test_binomial_budget_returns_the_binomial():
+    assert ensure_binomial_budget(400, 200, 120) == binomial(400, 200)
+    assert ensure_binomial_budget(400, 399, 3) == 400
+    # C(1023, 1) < 2**10 < 10**4: the bit test alone cannot admit it at 3 digits
+    assert ensure_binomial_budget(999, 1, 3) == 999
+    with pytest.raises(TooLarge):
+        ensure_binomial_budget(1023, 1, 3)
+    # 2**200 reaches 55 digits; the log bracket of C(10**6, 10), below 10**53.91, does not
+    assert ensure_binomial_budget(10**6, 10, 55) == binomial(10**6, 10)
+    assert ensure_binomial_budget(0, 0, 1) == 1
+    assert ensure_binomial_budget(5, 7, 1) == 0
+    assert ensure_binomial_budget(5, -1, 1) == 0
+    with pytest.raises(TooLarge) as exc_info:
+        ensure_binomial_budget(400, 200, 119)
+    assert exc_info.value.factor == "C(400, 200)"
+    with pytest.raises(TooLarge):
+        ensure_binomial_budget(10**60, 10**6, 10**6)  # decided without computing it
+
+
+def test_power_factor_is_budgeted():
+    # C(10, 0) = 1, so only 10**6 (7 digits) meets the budget
+    assert pure_bounds(10, 6, 0, digit_budget=7) == BoundPair(Fraction(1, 10**6), Fraction(10**6))
+    with pytest.raises(TooLarge) as exc_info:
+        pure_bounds(10, 6, 0, digit_budget=6)
+    assert exc_info.value.factor == "10**6"
+    assert pure_bounds(999, 1, 0, digit_budget=3).upper == 999
+    with pytest.raises(TooLarge):
+        pure_bounds(1023, 1, 0, digit_budget=3)  # 1023 < 2**10 < 10**4
+    with pytest.raises(TooLarge):
+        algebraic_bounds(2, 4, 3 * 10**6, 1, 2)
+    # a zero binomial makes the bounds (0, 0) whatever the power
+    assert pure_bounds(10, 2 * 10**6, 11) == BoundPair(Fraction(0), Fraction(0))
 
 
 # -- pure-diagram bounds ------------------------------------------------------

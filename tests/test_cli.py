@@ -1,11 +1,14 @@
 import json
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from bettibounds import BettiTable, pure_diagram
 from bettibounds.cli import main
 from bettibounds.tablefile import dump
+from conftest import mp_ln, mp_log_comb
 
 
 @pytest.fixture
@@ -137,6 +140,14 @@ def test_decompose_parse_failures(capsys, tmp_path):
 
 # -- bounds ---------------------------------------------------------------------
 
+#: A small exact query per bounds target.
+EXACT_ARGV = {
+    "pure": ("bounds", "pure", "-N", "18", "-r", "2", "-i", "7"),
+    "module": ("bounds", "module", "--codim", "2", "--pdim", "4", "--reg", "1", "-i", "2"),
+    "veronese": ("bounds", "veronese", "-n", "2", "-d", "5", "-i", "7"),
+    "variety": ("bounds", "variety", "--dim-l", "5", "--dim-x", "2", "--reg", "1", "-i", "2"),
+}
+
 
 def test_bounds_pure(capsys):
     code, out, _ = run(capsys, "bounds", "pure", "-N", "18", "-r", "2", "-i", "7")
@@ -198,12 +209,76 @@ def test_bounds_variety_falls_back_when_too_large(capsys):
     assert "exp_lo = 1207665" in out
 
 
-def test_bounds_pure_too_large_is_domain_error(capsys):
-    code, _, err = run(
-        capsys, "bounds", "pure", "-N", "1000000000", "-r", "1", "-i", "100000000"
+def test_bounds_pure_too_large_falls_back(capsys):
+    argv = ("bounds", "pure", "-N", "1000000000", "-r", "1", "-i", "100000000")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "estimated instead" in out
+    results = run_json(capsys, *argv)["results"]
+    shift = mp_ln(10**9)
+    log_c = mp_log_comb(10**9, 10**8)
+    ln10 = mp_ln(10)
+    assert results["exp_lo"] <= (log_c - shift) / ln10
+    assert (log_c + shift) / ln10 <= results["exp_hi"]
+
+
+# The over-budget power N**r once crashed the first query in str() and kept
+# the second running for minutes.  Each pair is (argv, log10 lower, log10
+# upper), the logs from mpmath at 50 digits.
+with mpmath.workdps(50):
+    POWER_DEFECTS = [
+        (("bounds", "pure", "-N", "10", "-r", "2100000", "-i", "3"),
+         mpmath.log10(120) - 2100000, mpmath.log10(120) + 2100000),
+        (("bounds", "module", "--codim", "2", "--pdim", "4", "--reg", "3000000", "-i", "2"),
+         -3000000 * mpmath.log10(2), mpmath.log10(6) + 6000000 * mpmath.log10(2)),
+    ]
+
+
+@pytest.mark.parametrize("argv, log10_lower, log10_upper", POWER_DEFECTS)
+def test_over_budget_power_falls_back(capsys, argv, log10_lower, log10_upper):
+    start = time.perf_counter()
+    code = main([*argv, "--format", "machine"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["mode"] == "estimate"
+    assert "estimated instead" in results["note"]
+    assert results["exp_lo"] <= log10_lower
+    assert log10_upper <= results["exp_hi"]
+    assert elapsed < 1
+
+
+def test_power_factor_budget_boundary(capsys):
+    # 10**6 has 7 digits and C(10, 0) = 1: only the power meets the budget
+    argv = ("bounds", "pure", "-N", "10", "-r", "6", "-i", "0", "--max-exact-digits")
+    exact = run_json(capsys, *argv, "7")["results"]
+    assert exact == {"mode": "exact", "lower": "1/1000000", "upper": "1000000"}
+    fallback = run_json(capsys, *argv, "6")["results"]
+    assert fallback["mode"] == "estimate"
+    assert fallback["note"].startswith("10**6 exceeds")
+    assert fallback["exp_lo"] <= -6 and fallback["exp_hi"] >= 6
+
+
+def test_over_budget_zero_lower_bound_is_domain_error(capsys):
+    # i > codim: the lower bound is 0, which no digit bracket can enclose
+    code, out, err = run(
+        capsys, "bounds", "module",
+        "--codim", "2", "--pdim", "4", "--reg", "3000000", "-i", "3",
     )
     assert code == 2
-    assert "digit" in err
+    assert out == ""
+    assert "lower bound is zero" in err
+
+
+def test_fallback_note_in_machine_output(capsys):
+    argv = ("bounds", "veronese", "-n", "2", "-d", "100", "-i", "2000",
+            "--max-exact-digits", "100")
+    _, out, _ = run(capsys, *argv)
+    results = run_json(capsys, *argv)["results"]
+    assert results["note"] in out.splitlines()
+    assert results["note"].endswith("estimated instead")
+    assert (results["exp_lo"], results["exp_hi"]) == (1482, 1501)
 
 
 def test_bounds_veronese_domain_error(capsys):
@@ -243,6 +318,15 @@ def test_precision_flag(capsys):
         "--precision", "many",
     )
     assert code == 1
+    # out of [1, MAX_PRECISION]: usage error on every target, exact paths too
+    for bad in ("-5", "0", "2001"):
+        for argv in EXACT_ARGV.values():
+            assert run(capsys, *argv, "--precision", bad)[0] == 1
+    top = run_json(
+        capsys, "bounds", "veronese", "-n", "2", "-d", "100", "-i", "2000",
+        "--estimate", "--precision", "2000",
+    )
+    assert top["results"]["exp_lo"] == 1482
 
 
 def test_max_exact_digits_flag(capsys):
@@ -254,6 +338,12 @@ def test_max_exact_digits_flag(capsys):
     assert code == 0
     assert "estimated instead" in out
     assert "exp_lo = 1482" in out
+    # a budget below 1 digit is a usage error on every target
+    for bad in ("-5", "0"):
+        for argv in EXACT_ARGV.values():
+            assert run(capsys, *argv, "--max-exact-digits", bad)[0] == 1
+    for argv in EXACT_ARGV.values():
+        assert run_json(capsys, *argv, "--max-exact-digits", "2001")["results"]["mode"] == "exact"
 
 
 # -- dim-l -----------------------------------------------------------------------

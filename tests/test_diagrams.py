@@ -12,7 +12,6 @@ from bettibounds import (
     degree_sequence,
     format_diagram,
     pure_diagram,
-    total_betti,
 )
 from conftest import MONOMIAL_QUOTIENT_ENTRIES, pascal_binomial
 
@@ -80,7 +79,6 @@ def test_total_betti(quotient_table):
     assert quotient_table.total(2) == 6
     assert BettiTable().total(0) == 0
     assert pure_diagram((0, 2, 4, 5)).total(3) == Fraction(8, 3)
-    assert total_betti(quotient_table, 1) == 5
 
 
 def test_scale():

@@ -5,18 +5,24 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from bettibounds import (
     DigitBracket,
     DomainError,
     LogBracket,
+    algebraic_bounds,
+    algebraic_digit_bracket,
     exact_log_binomial,
     ln_bracket,
     log_binomial_bracket,
     log_factorial_bracket,
     log_factorial_ratio_bracket,
+    pure_bounds,
+    variety_bounds,
     variety_digit_bracket,
     veronese_bounds,
+    veronese_codim,
     veronese_digit_bracket,
 )
 from conftest import mp_ln
@@ -289,6 +295,54 @@ def test_variety_digit_bracket_huge():
     assert (shifted.exp_lo, shifted.exp_hi) == oracle_digit_exponents(
         6441718, 6441720, 6441720, 2, 10**6, paper=True
     )
+
+
+@st.composite
+def target_calls(draw):
+    """(exact bounds, arguments, digit bracket, arguments) for one target on
+    small inputs where the lower bound is positive, so both are defined."""
+    target = draw(st.sampled_from(("pure", "module", "veronese", "variety")))
+    reg = draw(st.integers(0, 6))
+    if target == "pure":
+        n = draw(st.integers(1, 40))
+        i = draw(st.integers(0, n))
+        return pure_bounds, (n, reg, i), algebraic_digit_bracket, (n, n, reg, 1, i)
+    if target == "module":
+        codim = draw(st.integers(0, 30))
+        pdim = draw(st.integers(codim, 35))
+        beta0 = Fraction(draw(st.integers(1, 20)), draw(st.integers(1, 20)))
+        args = (codim, pdim, reg, beta0, draw(st.integers(0, codim)))
+        return algebraic_bounds, args, algebraic_digit_bracket, args
+    if target == "veronese":
+        n, d = draw(st.integers(1, 3)), draw(st.integers(3, 6))
+        args = (n, d, draw(st.integers(1, veronese_codim(n, d).codim - 1)))
+        return veronese_bounds, args, veronese_digit_bracket, args
+    dim_l = draw(st.integers(2, 40))
+    dim_x = draw(st.integers(0, dim_l - 1))
+    args = (dim_l, dim_x, reg, draw(st.integers(1, min(dim_l - 1, dim_l - dim_x))))
+    return variety_bounds, args, variety_digit_bracket, args
+
+
+@given(target_calls())
+def test_digit_brackets_enclose_exact_bounds(call):
+    exact, exact_args, digit_bracket, bracket_args = call
+    pair = exact(*exact_args)
+    bracket = digit_bracket(*bracket_args)
+    assert frac_pow10(bracket.exp_lo) <= pair.lower
+    assert pair.upper <= frac_pow10(bracket.exp_hi)
+
+
+def test_algebraic_digit_bracket_degenerate_and_errors():
+    # codim = 0: C(0, 0) = 1 and 0**reg read as 1, so the lower bound is beta0
+    bracket = algebraic_digit_bracket(0, 5, 3, Fraction(7, 2), 0)
+    assert frac_pow10(bracket.exp_lo) <= Fraction(7, 2)
+    assert Fraction(7, 2) * 5**3 <= frac_pow10(bracket.exp_hi)
+    with pytest.raises(DomainError, match="lower bound is zero"):
+        algebraic_digit_bracket(2, 4, 1, 1, 3)
+    with pytest.raises(DomainError):
+        algebraic_digit_bracket(3, 2, 1, 1, 1)
+    with pytest.raises(DomainError):
+        algebraic_digit_bracket(2, 3, 1, 0, 1)
 
 
 def test_digit_bracket_errors():
