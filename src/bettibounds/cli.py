@@ -7,10 +7,10 @@ Commands::
     betti bounds pure|module|veronese|variety ...
     betti dim-l -m 3 --delta 13 -e 1000     dim |O_X(e)| for a hypersurface
 
-Every bounds target follows one policy: ``--estimate`` (veronese, variety)
-gives the digit bracket; otherwise the exact bounds, unless one of their
-exact factors (a binomial or a power) would exceed ``--max-exact-digits``,
-in which case the digit bracket is given with a note saying why.
+Every bounds target follows one policy: ``--estimate`` gives the digit
+bracket; otherwise the exact bounds, unless one of their exact factors (a
+binomial or a power) would exceed ``--max-exact-digits``, in which case the
+digit bracket is given with a note saying why.
 
 Exit codes: 0 success, 1 usage or parse error (including a
 ``--max-exact-digits`` below 1 or a ``--precision`` outside
@@ -101,6 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
              "past it, bounds fall back to a digit bracket (default: 1000000)",
     )
 
+    estimate = _Parser(add_help=False)
+    estimate.add_argument(
+        "--estimate", action="store_true",
+        help="digit bracket instead of exact rationals",
+    )
+
     parser = _Parser(prog="betti", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -129,14 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = p_bounds.add_subparsers(dest="target", required=True, metavar="TARGET")
 
     b_pure = bsub.add_parser(
-        "pure", parents=[common], help="bounds C(N,i)*N**(+-r) for pure diagrams"
+        "pure", parents=[common, estimate], help="bounds C(N,i)*N**(+-r) for pure diagrams"
     )
     b_pure.add_argument("-N", dest="n", type=int, required=True, help="sequence length")
     b_pure.add_argument("-r", dest="r", type=int, required=True, help="row slack")
     b_pure.add_argument("-i", dest="i", type=int, required=True, help="column index")
 
     b_mod = bsub.add_parser(
-        "module", parents=[common], help="bounds from codim/pdim/reg/beta0"
+        "module", parents=[common, estimate], help="bounds from codim/pdim/reg/beta0"
     )
     b_mod.add_argument("--codim", type=int, required=True)
     b_mod.add_argument("--pdim", type=int, required=True)
@@ -145,24 +151,20 @@ def build_parser() -> argparse.ArgumentParser:
     b_mod.add_argument("-i", dest="i", type=int, required=True)
 
     b_ver = bsub.add_parser(
-        "veronese", parents=[common], help="bounds for the degree-d Veronese of n-space"
+        "veronese", parents=[common, estimate],
+        help="bounds for the degree-d Veronese of n-space",
     )
     b_ver.add_argument("-n", dest="n", type=int, required=True)
     b_ver.add_argument("-d", dest="d", type=int, required=True)
     b_ver.add_argument("-i", dest="i", type=int, required=True)
-    b_ver.add_argument(
-        "--estimate", action="store_true",
-        help="digit bracket instead of exact rationals",
-    )
 
     b_var = bsub.add_parser(
-        "variety", parents=[common], help="bounds for an embedded variety"
+        "variety", parents=[common, estimate], help="bounds for an embedded variety"
     )
     b_var.add_argument("--dim-l", dest="dim_l", type=int, required=True)
     b_var.add_argument("--dim-x", dest="dim_x", type=int, required=True)
     b_var.add_argument("--reg", type=int, required=True)
     b_var.add_argument("-i", dest="i", type=int, required=True)
-    b_var.add_argument("--estimate", action="store_true")
 
     p_dim = sub.add_parser(
         "dim-l", parents=[common],
@@ -177,7 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pure(args):
     table = pure_diagram(args.degrees)
-    totals = [str(table.total(i)) for i in range(table.pdim + 1)]
+    column_totals = [Fraction(0)] * (table.pdim + 1)
+    for (i, _), v in table.items():
+        column_totals[i] += v
+    totals = [str(t) for t in column_totals]
     inputs = {"degrees": list(args.degrees)}
     results = {
         "entries": [
@@ -227,13 +232,13 @@ _BOUND_TARGETS = {
         lambda *est: estimation.algebraic_digit_bracket(a.codim, a.pdim, a.reg, a.beta0, a.i, *est),
     ),
     "veronese": lambda a: (
-        {"n": a.n, "d": a.d, "i": a.i, "estimate": a.estimate},
+        {"n": a.n, "d": a.d, "i": a.i},
         {"N": bounds_mod.veronese_codim(a.n, a.d).codim},
         lambda budget: bounds_mod.veronese_bounds(a.n, a.d, a.i, budget),
         lambda *est: estimation.veronese_digit_bracket(a.n, a.d, a.i, *est),
     ),
     "variety": lambda a: (
-        {"dim_l": a.dim_l, "dim_x": a.dim_x, "reg": a.reg, "i": a.i, "estimate": a.estimate}, {},
+        {"dim_l": a.dim_l, "dim_x": a.dim_x, "reg": a.reg, "i": a.i}, {},
         lambda budget: bounds_mod.variety_bounds(a.dim_l, a.dim_x, a.reg, a.i, budget),
         lambda *est: estimation.variety_digit_bracket(a.dim_l, a.dim_x, a.reg, a.i, *est),
     ),
@@ -247,10 +252,11 @@ def _cmd_bounds(args):
         "paper_constants": bool(args.paper_constants),
         "max_exact_digits": args.max_exact_digits,
         **described,
+        "estimate": args.estimate,
     }
     text = [f"{k} = {v}" for k, v in extra.items()]
     note = None
-    if not getattr(args, "estimate", False):  # pure and module have no --estimate
+    if not args.estimate:
         try:
             pair = exact(args.max_exact_digits)
         except TooLarge as exc:

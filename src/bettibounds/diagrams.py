@@ -19,6 +19,7 @@ for d_0 = 0 is the special case where the numerator is prod_{j != 0} d_j.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -79,6 +80,18 @@ class BettiTable:
                     continue  # absence encodes zero
                 data[i, j] = value
         self._entries = data
+
+    @classmethod
+    def _trusted(cls, entries: dict[tuple[int, int], Fraction]) -> "BettiTable":
+        """Wrap ``entries`` without validating or copying it.
+
+        The caller guarantees what ``__init__`` would enforce: keys are int
+        pairs (i, j) with i >= 0, values are positive ``Fraction``s, and the
+        dict is not changed afterwards.
+        """
+        table = cls.__new__(cls)
+        table._entries = entries
+        return table
 
     # -- basic queries -----------------------------------------------------
 
@@ -176,6 +189,19 @@ class BettiTable:
         return format_diagram(self)
 
 
+def _hk_values(d: tuple[int, ...]) -> list[Fraction]:
+    """Herzog-Kuhl values beta_{i, d_i} of the pure diagram of d, in column order.
+
+    d must be a validated degree sequence, so every divisor is nonzero.
+    Shared by ``pure_diagram``, the peel and ``Decomposition.reconstruct``.
+    """
+    top = math.prod([x - d[0] for x in d[1:]])
+    return [
+        Fraction(top, math.prod([di - x for x in d[:i]]) * math.prod([x - di for x in d[i + 1:]]))
+        for i, di in enumerate(d)
+    ]
+
+
 def pure_diagram(degrees: Iterable[int]) -> BettiTable:
     """The pure diagram of a degree sequence, normalized so beta_0 = 1.
 
@@ -184,17 +210,9 @@ def pure_diagram(degrees: Iterable[int]) -> BettiTable:
     increase of d makes every divisor nonzero.
     """
     d = degree_sequence(degrees)
-    numerator = 1
-    for dj in d[1:]:
-        numerator *= abs(dj - d[0])
-    entries = {}
-    for i, di in enumerate(d):
-        denominator = 1
-        for j, dj in enumerate(d):
-            if j != i:
-                denominator *= abs(dj - di)
-        entries[i, di] = Fraction(numerator, denominator)
-    return BettiTable(entries)
+    return BettiTable._trusted(
+        {(i, di): value for i, (di, value) in enumerate(zip(d, _hk_values(d)))}
+    )
 
 
 def format_diagram(table: BettiTable, absent: str = ".") -> str:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import bettibounds
 from bettibounds import BettiTable, pure_diagram
 from bettibounds.cli import main
 from bettibounds.tablefile import dump
@@ -222,6 +227,25 @@ def test_bounds_pure_too_large_falls_back(capsys):
     assert (log_c + shift) / ln10 <= results["exp_hi"]
 
 
+@pytest.mark.parametrize("argv, exact", [
+    (("bounds", "pure", "-N", "10", "-r", "1", "-i", "3"), (Fraction(12), 1200)),
+    (("bounds", "module", "--codim", "2", "--pdim", "4", "--reg", "1", "--beta0", "3",
+      "-i", "2"), (Fraction(3, 2), 72)),
+])
+def test_estimate_flag_on_pure_and_module(capsys, argv, exact):
+    report = run_json(capsys, *argv)
+    assert report["results"] == {
+        "mode": "exact", "lower": str(exact[0]), "upper": str(exact[1])
+    }
+    report = run_json(capsys, *argv, "--estimate")
+    assert report["inputs"]["estimate"] is True
+    results = report["results"]
+    assert results["mode"] == "estimate"
+    assert "note" not in results
+    assert Fraction(10) ** results["exp_lo"] <= exact[0]
+    assert exact[1] <= Fraction(10) ** results["exp_hi"]
+
+
 # The over-budget power N**r once crashed the first query in str() and kept
 # the second running for minutes.  Each pair is (argv, log10 lower, log10
 # upper), the logs from mpmath at 50 digits.
@@ -373,3 +397,13 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "bounds", "nonsense")[0] == 1              # unknown target
     assert run(capsys, "pure")[0] == 1                            # missing argument
     assert run(capsys, "pure", "a,b")[0] == 1                     # unparsable degrees
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(bettibounds.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "bettibounds", "pure", "0,1,2"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "totals: 1  2  1" in proc.stdout

@@ -10,6 +10,7 @@ from bettibounds import (
     Decomposition,
     DomainError,
     GapColumn,
+    NegativeEntry,
     NotInBSCone,
     NotIncreasing,
     decompose,
@@ -143,3 +144,153 @@ def test_verify_decomposition_codim_window(quotient_table):
         verify_decomposition(quotient_table, decomposition, codim=3)
     with pytest.raises(ChainViolation):
         verify_decomposition(pure_diagram((0, 1)), decomposition)
+
+
+# -- differential check against the immutable peel -----------------------------
+
+
+def _hk(d):
+    """Herzog-Kuhl values of pure_diagram(d), written out independently."""
+    top = 1
+    for x in d[1:]:
+        top *= x - d[0]
+    values = []
+    for i, di in enumerate(d):
+        den = 1
+        for j, x in enumerate(d):
+            if j != i:
+                den *= abs(x - di)
+        values.append(Fraction(top, den))
+    return values
+
+
+def _old_leading_degree_sequence(table):
+    minima = []
+    for i in range(table.pdim + 1):
+        col = table.column(i)
+        if not col:
+            raise GapColumn(i)
+        minima.append(min(col))
+    for a, b in zip(minima, minima[1:]):
+        if b <= a:
+            raise NotIncreasing(f"column minima {tuple(minima)} are not strictly increasing")
+    return tuple(minima)
+
+
+def _old_peel(table, d):
+    diagram = BettiTable({(i, di): v for i, (di, v) in enumerate(zip(d, _hk(d)))})
+    c = min(table[i, di] / diagram[i, di] for i, di in enumerate(d))
+    return c, table.subtract(diagram.scale(c))
+
+
+def _oracle_decompose(table):
+    """The peel as it was before remainders were mutated in place: a whole new
+    table per step, minima found by scanning columns.  Returns the terms, or
+    the exception that decompose must carry as ``__cause__``."""
+    budget = len(table)
+    terms = []
+    remainder = table
+    try:
+        while remainder:
+            if len(terms) > budget:
+                raise ChainViolation(f"peeling did not terminate within {budget} steps")
+            d = _old_leading_degree_sequence(remainder)
+            c, remainder = _old_peel(remainder, d)
+            terms.append((c, d))
+        for (_, a), (_, b) in zip(terms, terms[1:]):
+            if not deg_seq_lt(a, b):
+                raise ChainViolation(f"types {a} and {b} do not increase strictly")
+    except (GapColumn, NotIncreasing, NegativeEntry, ChainViolation) as exc:
+        return exc
+    return tuple(terms)
+
+
+def _seeded_chain(rng, support, pdim):
+    """A strict chain of length-pdim degree sequences whose pure diagrams
+    cover about ``support`` positions: each step raises one degree by one
+    (one new position), and now and then drops the last degree instead."""
+    d = [0]
+    for _ in range(min(pdim, support - 2)):
+        d.append(d[-1] + rng.choice((1, 1, 2)))
+    chain = [tuple(d)]
+    covered = len(d)
+    while covered < support:
+        if len(d) > 2 and rng.random() < 0.02:
+            d.pop()
+        else:
+            movable = [k for k in range(len(d)) if k == len(d) - 1 or d[k] + 1 < d[k + 1]]
+            d[rng.choice(movable)] += 1
+            covered += 1
+        chain.append(tuple(d))
+    return chain
+
+
+def _chain_terms_and_table(rng, support, pdim):
+    terms = tuple(
+        (Fraction(rng.randint(1, 9), rng.randint(1, 9)), d)
+        for d in _seeded_chain(rng, support, pdim)
+    )
+    entries = {}
+    for c, d in terms:
+        for i, (di, v) in enumerate(zip(d, _hk(d))):
+            entries[i, di] = entries.get((i, di), 0) + c * v
+    return terms, BettiTable(entries)
+
+
+def _perturbations(rng, terms, table):
+    """Tables near ``table``; the first is outside the cone for certain.
+
+    Every pure diagram of length >= 1 has alternating sum
+    sum_i (-1)**i beta_i = 0, so adding 1 at column 1 gives a table with
+    alternating sum -1, which no table in the cone has.
+    """
+    entries = dict(table.items())
+    key = (1, terms[-1][1][1])
+    yield BettiTable({**entries, key: entries.get(key, 0) + 1})
+    key = rng.choice(sorted(entries))
+    yield BettiTable({**entries, key: entries[key] * rng.choice((Fraction(1, 2), 2))})
+    i = rng.randrange(table.pdim + 1)
+    column = table.column(i)
+    j = rng.randint(min(column) - 1, max(column) + 1)
+    yield BettiTable({**entries, (i, j): entries.get((i, j), 0) + 1})
+    yield BettiTable({k: v for k, v in entries.items() if k != key})
+
+
+def _outcome(table):
+    """decompose's terms, or the (class, message) of its NotInBSCone cause;
+    also checks that decompose left its input unchanged."""
+    before = BettiTable(dict(table.items()))
+    try:
+        result = decompose(table).terms
+    except NotInBSCone as exc:
+        result = (type(exc.__cause__), str(exc.__cause__))
+    assert table == before
+    return result
+
+
+DIFFERENTIAL_CASES = [
+    (seed, support, 3 + seed % 8)
+    for seed, support in enumerate((10, 17, 30, 55, 90, 140, 210, 300, 400))
+]
+
+
+@pytest.mark.parametrize("seed, support, pdim", DIFFERENTIAL_CASES)
+def test_decompose_matches_immutable_peel(seed, support, pdim):
+    rng = random.Random(seed)
+    terms, table = _chain_terms_and_table(rng, support, pdim)
+    assert _oracle_decompose(table) == terms
+    assert _outcome(table) == terms
+    for k, perturbed in enumerate(_perturbations(rng, terms, table)):
+        expected = _oracle_decompose(perturbed)
+        if isinstance(expected, Exception):
+            expected = (type(expected), str(expected))
+        elif k == 0:
+            pytest.fail(f"alternating-sum perturbation stayed in the cone: {expected}")
+        assert _outcome(perturbed) == expected
+
+
+def test_decompose_round_trip_at_support_2000():
+    terms, table = _chain_terms_and_table(random.Random(2000), 2000, 10)
+    decomposition = decompose(table)
+    assert decomposition.terms == terms
+    assert decomposition.reconstruct() == table
