@@ -26,6 +26,7 @@ strings and digit brackets as integer exponents, with the fallback note as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -77,7 +78,13 @@ def _int_in(lo: int, hi: float = math.inf):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``betti`` parser, built once per process on first use.
+
+    Every leaf parser sets ``handler`` (its ``_cmd_*`` function) and
+    ``label`` (the ``command`` string of machine output).
+    """
     common = _Parser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "machine"), default="text",
@@ -117,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         "degrees", type=_degrees_argument,
         help="comma-separated strictly increasing integers, e.g. 0,2,4,5",
     )
+    p_pure.set_defaults(handler=_cmd_pure, label="pure")
 
     p_dec = sub.add_parser(
         "decompose", parents=[common], help="decompose a BT1 table into pure diagrams"
@@ -130,6 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--codim", type=int, default=None,
         help="also check that every type length lies in [codim, pdim]",
     )
+    p_dec.set_defaults(handler=_cmd_decompose, label="decompose")
 
     p_bounds = sub.add_parser("bounds", help="binomial bounds on total Betti numbers")
     bsub = p_bounds.add_subparsers(dest="target", required=True, metavar="TARGET")
@@ -166,6 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     b_var.add_argument("--reg", type=int, required=True)
     b_var.add_argument("-i", dest="i", type=int, required=True)
 
+    for target, b_parser in bsub.choices.items():
+        b_parser.set_defaults(handler=_cmd_bounds, label=f"bounds {target}")
+
     p_dim = sub.add_parser(
         "dim-l", parents=[common],
         help="dim |O_X(e)| for a degree-delta hypersurface in m-space",
@@ -173,6 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.add_argument("-m", dest="m", type=int, required=True)
     p_dim.add_argument("--delta", type=int, required=True)
     p_dim.add_argument("-e", dest="e", type=int, required=True)
+    p_dim.set_defaults(handler=_cmd_dim_l, label="dim-l")
 
     return parser
 
@@ -297,23 +310,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
-    budget = getattr(args, "max_exact_digits", 0) or 0
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(
-            max(sys.get_int_max_str_digits(), 2 * budget + 4300)
+            max(sys.get_int_max_str_digits(), 2 * args.max_exact_digits + 4300)
         )
 
-    if args.command == "pure":
-        command, handler = "pure", _cmd_pure
-    elif args.command == "decompose":
-        command, handler = "decompose", _cmd_decompose
-    elif args.command == "bounds":
-        command, handler = f"bounds {args.target}", _cmd_bounds
-    else:
-        command, handler = "dim-l", _cmd_dim_l
-
     try:
-        inputs, results, text = handler(args)
+        inputs, results, text = args.handler(args)
     except TableFormatError as exc:
         print(f"betti: {exc}", file=sys.stderr)
         return 1
@@ -323,7 +326,7 @@ def main(argv=None) -> int:
 
     if args.format == "machine":
         print(json.dumps(
-            {"command": command, "inputs": inputs, "results": results, "status": "ok"}
+            {"command": args.label, "inputs": inputs, "results": results, "status": "ok"}
         ))
     else:
         print("\n".join(text))

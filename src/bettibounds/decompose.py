@@ -9,11 +9,14 @@ form a strict chain d^0 < d^1 < ... < d^s.  The greedy algorithm recovers it:
      nonnegative (this zeroes at least one entry at a position (i, d_i)),
   3. repeat until the table is empty.
 
-Each peel either shrinks the support or pushes some column minimum strictly
-up, so the number of terms never exceeds the initial support size.  Failures
-(an empty column below pdim, non-increasing column minima, a negative entry,
-or a broken chain) mean the input lies outside the cone and are reported as
-``NotInBSCone``.
+Only step 1 can fail, and the failure means the input lies outside the cone:
+``NotInBSCone`` with ``reason`` ``"gap column"`` (an empty column below
+pdim) or ``"minima not increasing"``.  Nothing else needs checking, because
+under exact arithmetic c = min(v / b) leaves every entry >= 0 and deletes at
+least one, and entries are only ever deleted, so the types form a strict
+chain and there are at most ``len(table)`` peels.  The certificate for a
+decomposition, including one that did not come from ``decompose``, is
+``verify_decomposition``.
 
 Cost: the remainder is a private copy of the table, one {j: value} dict per
 column, changed in place.  A peel of type d = (d_0, ..., d_t) reads the t + 1
@@ -32,14 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import BettiTable, _hk_values, deg_seq_lt, degree_sequence
-from .errors import (
-    ChainViolation,
-    DomainError,
-    GapColumn,
-    NegativeEntry,
-    NotInBSCone,
-    NotIncreasing,
-)
+from .errors import DomainError, NotInBSCone
 
 
 @dataclass(frozen=True)
@@ -61,10 +57,6 @@ class Decomposition:
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         return tuple(c for c, _ in self.terms)
-
-    @property
-    def types(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(d for _, d in self.terms)
 
     def coefficient_sum(self) -> Fraction:
         return sum(self.coefficients, Fraction(0))
@@ -104,11 +96,16 @@ def _minima(columns: dict[int, dict[int, Fraction]]) -> tuple[int, ...]:
     for i in range(max(columns) + 1):
         column = columns.get(i)
         if column is None:
-            raise GapColumn(i)
+            raise NotInBSCone(
+                "gap column", f"column {i} is empty but lies below the projective dimension"
+            )
         minima.append(next(iter(column)))
     for a, b in zip(minima, minima[1:]):
         if b <= a:
-            raise NotIncreasing(f"column minima {tuple(minima)} are not strictly increasing")
+            raise NotInBSCone(
+                "minima not increasing",
+                f"column minima {tuple(minima)} are not strictly increasing",
+            )
     return tuple(minima)
 
 
@@ -125,9 +122,7 @@ def _peel_columns(columns: dict[int, dict[int, Fraction]], d: tuple[int, ...]) -
     betas = _hk_values(d)
     c = min(v / b for v, b in zip(values, betas))
     for i, (di, v, b) in enumerate(zip(d, values, betas)):
-        rest = v - c * b
-        if rest < 0:
-            raise NegativeEntry((i, di), rest)
+        rest = v - c * b  # >= 0, and 0 where the minimum is reached
         column = columns[i]
         if rest:
             column[di] = rest
@@ -141,9 +136,10 @@ def _peel_columns(columns: dict[int, dict[int, Fraction]], d: tuple[int, ...]) -
 def leading_degree_sequence(table: BettiTable) -> tuple[int, ...]:
     """Minimal degree of each column 0..pdim, as a degree sequence.
 
-    Raises GapColumn if some column below pdim is empty, NotIncreasing if the
-    minima are not strictly increasing.  Either failure certifies that the
-    table is not a positive chain combination of pure diagrams.
+    Raises NotInBSCone, with reason "gap column" if some column below pdim is
+    empty or "minima not increasing" if the minima are not strictly
+    increasing.  Either failure certifies that the table is not a positive
+    chain combination of pure diagrams.
     """
     if not table:
         raise DomainError("cannot take the leading degree sequence of an empty table")
@@ -166,29 +162,17 @@ def peel(table: BettiTable, d: tuple[int, ...]) -> tuple[Fraction, BettiTable]:
 def decompose(table: BettiTable) -> Decomposition:
     """Decompose a table into its unique chain of pure diagrams.
 
-    Raises NotInBSCone (with the underlying failure as ``__cause__``) when no
-    such decomposition exists.  The sum of the coefficients equals the total
-    Betti number of column 0, since each pure diagram is normalized to
-    beta_0 = 1.  The input table is not changed.
+    Raises NotInBSCone when no such decomposition exists.  The sum of the
+    coefficients equals the total Betti number of column 0, since each pure
+    diagram is normalized to beta_0 = 1.  The input table is not changed.
     """
     if not table:
         raise DomainError("cannot decompose an empty table")
-    budget = len(table)  # peel count never exceeds the support size
     terms = []
     remainder = _columns(table)
-    try:
-        while remainder:
-            if len(terms) > budget:
-                raise ChainViolation(
-                    f"peeling did not terminate within {budget} steps"
-                )
-            d = _minima(remainder)
-            terms.append((_peel_columns(remainder, d), d))
-        for (_, a), (_, b) in zip(terms, terms[1:]):
-            if not deg_seq_lt(a, b):
-                raise ChainViolation(f"types {a} and {b} do not increase strictly")
-    except (GapColumn, NotIncreasing, NegativeEntry, ChainViolation) as exc:
-        raise NotInBSCone(f"table is not in the cone of pure diagrams: {exc}") from exc
+    while remainder:
+        d = _minima(remainder)
+        terms.append((_peel_columns(remainder, d), d))
     return Decomposition(tuple(terms))
 
 
@@ -197,23 +181,22 @@ def verify_decomposition(
 ) -> None:
     """Re-check a decomposition against its source table.
 
-    Confirms positive coefficients, a strict chain, exact reconstruction,
-    and (when codim is given) that every degree sequence has length between
-    codim and the projective dimension of the table.  Raises on any failure.
+    Confirms a strict chain, then positive coefficients and exact
+    reconstruction (``reconstruct`` rejects a coefficient that is not
+    positive), and (when codim is given) that every degree sequence has
+    length between codim and the projective dimension of the table.  Raises
+    DomainError on any failure.
     """
-    for c, _ in decomposition:
-        if c <= 0:
-            raise ChainViolation(f"coefficient {c} is not positive")
     for (_, a), (_, b) in zip(decomposition.terms, decomposition.terms[1:]):
         if not deg_seq_lt(a, b):
-            raise ChainViolation(f"types {a} and {b} do not increase strictly")
+            raise DomainError(f"types {a} and {b} do not increase strictly")
     if decomposition.reconstruct() != table:
-        raise ChainViolation("reconstruction does not reproduce the table")
+        raise DomainError("reconstruction does not reproduce the table")
     if codim is not None:
         pdim = table.pdim
         for _, d in decomposition:
             length = len(d) - 1
             if not codim <= length <= pdim:
-                raise ChainViolation(
+                raise DomainError(
                     f"type {d} has length {length}, outside [{codim}, {pdim}]"
                 )

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DomainError, NegativeEntry
+from .errors import DomainError
 
 def degree_sequence(degrees: Iterable[int]) -> tuple[int, ...]:
     """Validate and normalize a degree sequence to a tuple of ints.
@@ -114,9 +114,6 @@ class BettiTable:
         """Entries as a list of ((i, j), value), sorted by (i, j)."""
         return sorted(self._entries.items())
 
-    def support(self) -> set[tuple[int, int]]:
-        return set(self._entries)
-
     def column(self, i: int) -> dict[int, Fraction]:
         """The nonzero entries {j: value} of column i."""
         return {j: v for (ii, j), v in self._entries.items() if ii == i}
@@ -151,13 +148,13 @@ class BettiTable:
     def subtract(self, other: "BettiTable") -> "BettiTable":
         """Entrywise difference self - other, with exact zeros dropped.
 
-        Raises NegativeEntry if any resulting entry would be negative.
+        Raises DomainError if any resulting entry would be negative.
         """
         result = dict(self._entries)
         for key, value in other._entries.items():
             diff = result.get(key, Fraction(0)) - value
             if diff < 0:
-                raise NegativeEntry(key, diff)
+                raise DomainError(f"entry at {key} would become negative ({diff})")
             if diff == 0:
                 result.pop(key, None)
             else:

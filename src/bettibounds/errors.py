@@ -14,33 +14,21 @@ class DomainError(BettiError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class NegativeEntry(BettiError):
-    """A table subtraction produced a negative entry."""
-
-    def __init__(self, position, value):
-        self.position = position
-        self.value = value
-        super().__init__(f"entry at {position} would become negative ({value})")
-
-
-class GapColumn(BettiError):
-    """A column with index below the projective dimension is empty."""
-
-    def __init__(self, column):
-        self.column = column
-        super().__init__(f"column {column} is empty but lies below the projective dimension")
-
-
-class NotIncreasing(BettiError):
-    """The column minima of a table fail to be strictly increasing."""
-
-
-class ChainViolation(BettiError):
-    """The degree sequences produced by peeling do not form a strict chain."""
-
-
 class NotInBSCone(BettiError):
-    """The table admits no decomposition into a chain of pure diagrams."""
+    """The table admits no decomposition into a chain of pure diagrams.
+
+    ``reason`` names the failure: ``"gap column"`` (a column below the
+    projective dimension is empty) or ``"minima not increasing"`` (the column
+    minima of the table, or of a remainder of the greedy peel, fail to
+    increase strictly).
+    """
+
+    def __init__(self, reason, detail):
+        super().__init__(reason, detail)  # args that pickling passes back
+        self.reason = reason
+
+    def __str__(self):
+        return f"table is not in the cone of pure diagrams: {self.args[1]}"
 
 
 class TooLarge(BettiError):

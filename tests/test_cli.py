@@ -11,7 +11,7 @@ import pytest
 
 import bettibounds
 from bettibounds import BettiTable, pure_diagram
-from bettibounds.cli import main
+from bettibounds.cli import build_parser, main
 from bettibounds.tablefile import dump
 from conftest import mp_ln, mp_log_comb
 
@@ -134,6 +134,18 @@ def test_decompose_outside_cone(capsys, tmp_path):
     code, _, err = run(capsys, "decompose", str(path))
     assert code == 2
     assert "cone" in err
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("BT1\n0 0 1\n2 2 1\n", "column 1 is empty but lies below the projective dimension"),
+    ("BT1\n0 5 1\n1 2 1\n", "column minima (5, 2) are not strictly increasing"),
+])
+def test_decompose_not_in_cone_message(capsys, tmp_path, text, detail):
+    path = tmp_path / "table.bt1"
+    path.write_text(text)
+    expected = f"betti: table is not in the cone of pure diagrams: {detail}\n"
+    for fmt in ("text", "machine"):
+        assert run(capsys, "decompose", str(path), "--format", fmt) == (2, "", expected)
 
 
 def test_decompose_parse_failures(capsys, tmp_path):
@@ -397,6 +409,35 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "bounds", "nonsense")[0] == 1              # unknown target
     assert run(capsys, "pure")[0] == 1                            # missing argument
     assert run(capsys, "pure", "a,b")[0] == 1                     # unparsable degrees
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_successive_calls_match_calls_with_a_fresh_parser(capsys, worked_file):
+    # flags given in one call must not leak into the next through the shared parser
+    veronese = ("bounds", "veronese", "-n", "2", "-d", "5", "-i", "7", "--format", "machine")
+    power = ("bounds", "pure", "-N", "10", "-r", "6", "-i", "0")
+    sequence = [
+        (*veronese, "--estimate", "--precision", "60"),
+        veronese,
+        ("decompose", worked_file, "--check", "--codim", "2", "--format", "machine"),
+        ("decompose", worked_file),
+        ("pure", "0,2,4,5"),
+        (*power, "--max-exact-digits", "6"),
+        power,
+        ("bounds", "nonsense"),
+        ("decompose", worked_file, "--codim", "3"),
+        ("dim-l", "-m", "3", "--delta", "13", "-e", "1000", "--format", "machine"),
+    ]
+    together = [run(capsys, *argv) for argv in sequence]
+    alone = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert together == alone
+    assert [code for code, _, _ in together] == [0, 0, 0, 0, 0, 0, 0, 1, 2, 0]
 
 
 def test_python_dash_m_runs_the_cli():

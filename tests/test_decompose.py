@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,13 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from bettibounds import (
     BettiTable,
-    ChainViolation,
     Decomposition,
     DomainError,
-    GapColumn,
-    NegativeEntry,
     NotInBSCone,
-    NotIncreasing,
     decompose,
     deg_seq_lt,
     leading_degree_sequence,
@@ -26,10 +23,12 @@ from conftest import MONOMIAL_QUOTIENT_TERMS, random_decomposition_terms
 def test_leading_degree_sequence(quotient_table):
     assert leading_degree_sequence(quotient_table) == (0, 2, 4, 5)
     assert leading_degree_sequence(pure_diagram((0, 3, 5))) == (0, 3, 5)
-    with pytest.raises(GapColumn):
+    with pytest.raises(NotInBSCone) as gap:
         leading_degree_sequence(BettiTable({(0, 0): 1, (2, 2): 1}))
-    with pytest.raises(NotIncreasing):
+    assert gap.value.reason == "gap column"
+    with pytest.raises(NotInBSCone) as unordered:
         leading_degree_sequence(BettiTable({(0, 5): 1, (1, 2): 1}))
+    assert unordered.value.reason == "minima not increasing"
     with pytest.raises(DomainError):
         leading_degree_sequence(BettiTable())
 
@@ -139,11 +138,69 @@ def test_verify_decomposition_codim_window(quotient_table):
     verify_decomposition(quotient_table, decomposition)
     # the true codimension is 2: lengths run from 2 to pdim = 3
     verify_decomposition(quotient_table, decomposition, codim=2)
-    with pytest.raises(ChainViolation):
+    with pytest.raises(DomainError):
         # the final length-2 type violates a claimed codimension of 3
         verify_decomposition(quotient_table, decomposition, codim=3)
-    with pytest.raises(ChainViolation):
+    with pytest.raises(DomainError):
         verify_decomposition(pure_diagram((0, 1)), decomposition)
+
+
+def test_verify_decomposition_failures(quotient_table):
+    decomposition = decompose(quotient_table)
+    (c0, d0), (c1, d1) = decomposition.terms[:2]
+    rest = decomposition.terms[2:]
+    cases = [
+        (Decomposition(((Fraction(0), d0), (c1, d1)) + rest), None,
+         "coefficient 0 is not positive"),
+        (Decomposition(((c1, d1), (c0, d0)) + rest), None,
+         f"types {d1} and {d0} do not increase strictly"),
+        (Decomposition(((c0 * 2, d0), (c1, d1)) + rest), None,
+         "reconstruction does not reproduce the table"),
+        (decomposition, 3, "type (0, 3, 5) has length 2, outside [3, 3]"),
+    ]
+    for candidate, codim, message in cases:
+        with pytest.raises(DomainError) as failure:
+            verify_decomposition(quotient_table, candidate, codim=codim)
+        assert str(failure.value) == message
+
+
+OUTSIDE_CONE = [
+    (BettiTable({(0, 0): 1, (2, 2): 1}), "gap column",
+     "column 1 is empty but lies below the projective dimension"),
+    (BettiTable({(0, 5): 1, (1, 2): 1}), "minima not increasing",
+     "column minima (5, 2) are not strictly increasing"),
+]
+
+
+@pytest.mark.parametrize("table, reason, detail", OUTSIDE_CONE)
+def test_not_in_cone_reason(table, reason, detail):
+    for call in (decompose, leading_degree_sequence):
+        with pytest.raises(NotInBSCone) as failure:
+            call(table)
+        assert failure.value.reason == reason
+        assert str(failure.value) == f"table is not in the cone of pure diagrams: {detail}"
+        copy = pickle.loads(pickle.dumps(failure.value))
+        assert (copy.reason, str(copy)) == (reason, str(failure.value))
+
+
+small_tables = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 6)),
+    st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+    min_size=1, max_size=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_tables)
+def test_decompose_returns_a_certified_chain_or_a_reason(entries):
+    table = BettiTable(entries)
+    try:
+        decomposition = decompose(table)
+    except NotInBSCone as exc:
+        assert exc.reason in ("gap column", "minima not increasing")
+    else:
+        assert len(decomposition) <= len(table)
+        verify_decomposition(table, decomposition)
 
 
 # -- differential check against the immutable peel -----------------------------
@@ -164,44 +221,67 @@ def _hk(d):
     return values
 
 
+class _OracleFailure(Exception):
+    """A failure of the oracle: ``reason`` and ``message`` as ``NotInBSCone``
+    would carry them."""
+
+    def __init__(self, reason, detail):
+        self.reason = reason
+        self.message = f"table is not in the cone of pure diagrams: {detail}"
+
+
 def _old_leading_degree_sequence(table):
     minima = []
     for i in range(table.pdim + 1):
         col = table.column(i)
         if not col:
-            raise GapColumn(i)
+            raise _OracleFailure(
+                "gap column", f"column {i} is empty but lies below the projective dimension"
+            )
         minima.append(min(col))
     for a, b in zip(minima, minima[1:]):
         if b <= a:
-            raise NotIncreasing(f"column minima {tuple(minima)} are not strictly increasing")
+            raise _OracleFailure(
+                "minima not increasing",
+                f"column minima {tuple(minima)} are not strictly increasing",
+            )
     return tuple(minima)
 
 
 def _old_peel(table, d):
     diagram = BettiTable({(i, di): v for i, (di, v) in enumerate(zip(d, _hk(d)))})
     c = min(table[i, di] / diagram[i, di] for i, di in enumerate(d))
-    return c, table.subtract(diagram.scale(c))
+    try:
+        return c, table.subtract(diagram.scale(c))
+    except DomainError as exc:
+        raise _OracleFailure("negative entry", exc) from exc
 
 
 def _oracle_decompose(table):
     """The peel as it was before remainders were mutated in place: a whole new
-    table per step, minima found by scanning columns.  Returns the terms, or
-    the exception that decompose must carry as ``__cause__``."""
+    table per step, minima found by scanning columns, and every check the old
+    loop made.  Returns the terms, or the (reason, message) that decompose's
+    NotInBSCone must carry; the reasons "negative entry" and "chain violation"
+    mark failures that decompose can never report."""
     budget = len(table)
     terms = []
     remainder = table
     try:
         while remainder:
             if len(terms) > budget:
-                raise ChainViolation(f"peeling did not terminate within {budget} steps")
+                raise _OracleFailure(
+                    "chain violation", f"peeling did not terminate within {budget} steps"
+                )
             d = _old_leading_degree_sequence(remainder)
             c, remainder = _old_peel(remainder, d)
             terms.append((c, d))
         for (_, a), (_, b) in zip(terms, terms[1:]):
             if not deg_seq_lt(a, b):
-                raise ChainViolation(f"types {a} and {b} do not increase strictly")
-    except (GapColumn, NotIncreasing, NegativeEntry, ChainViolation) as exc:
-        return exc
+                raise _OracleFailure(
+                    "chain violation", f"types {a} and {b} do not increase strictly"
+                )
+    except _OracleFailure as failure:
+        return failure.reason, failure.message
     return tuple(terms)
 
 
@@ -257,13 +337,13 @@ def _perturbations(rng, terms, table):
 
 
 def _outcome(table):
-    """decompose's terms, or the (class, message) of its NotInBSCone cause;
+    """decompose's terms, or the (reason, message) of its NotInBSCone;
     also checks that decompose left its input unchanged."""
     before = BettiTable(dict(table.items()))
     try:
         result = decompose(table).terms
     except NotInBSCone as exc:
-        result = (type(exc.__cause__), str(exc.__cause__))
+        result = (exc.reason, str(exc))
     assert table == before
     return result
 
@@ -282,9 +362,7 @@ def test_decompose_matches_immutable_peel(seed, support, pdim):
     assert _outcome(table) == terms
     for k, perturbed in enumerate(_perturbations(rng, terms, table)):
         expected = _oracle_decompose(perturbed)
-        if isinstance(expected, Exception):
-            expected = (type(expected), str(expected))
-        elif k == 0:
+        if k == 0 and not isinstance(expected[0], str):
             pytest.fail(f"alternating-sum perturbation stayed in the cone: {expected}")
         assert _outcome(perturbed) == expected
 

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from bettibounds import (
     BettiTable,
     DomainError,
-    NegativeEntry,
     deg_seq_leq,
     deg_seq_lt,
     degree_sequence,
@@ -103,7 +102,7 @@ def test_subtract(quotient_table):
     assert (1, 2) not in peeled  # 1 - 3/10 * 10/3 vanishes exactly
     assert peeled[1, 3] == 4
 
-    with pytest.raises(NegativeEntry):
+    with pytest.raises(DomainError):
         BettiTable().subtract(pure_diagram((0, 1)))
 
 
