@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, TooLarge
-from .estimation import DEFAULT_PRECISION, ln_bracket, log_binomial_bracket, veronese_codim
-from .estimation import _check_module, _check_variety
+from .estimation import DEFAULT_PRECISION, ln_bracket, log_binomial_bracket
+from .estimation import _module_shape, _pure_shape, _variety_shape, _veronese_shape
 
 #: Default budget for each exact factor of a bound, in decimal digits.
 DEFAULT_DIGIT_BUDGET = 10**6
@@ -117,13 +117,15 @@ def ensure_binomial_budget(n: int, k: int, digit_budget: int) -> int:
 
 
 def _bound_pair(lower_top: int, lower_base: int, upper_top: int, upper_base: int,
-                reg: int, beta0, i: int, digit_budget: int) -> BoundPair:
+                reg: int, beta0: Fraction, i: int, digit_budget: int) -> BoundPair:
     """beta0 * C(lower_top, i) * lower_base**-reg and
     beta0 * C(upper_top, i) * upper_base**reg, exactly.
 
-    A base of 0 reads base**reg as 1.  The budget guards the upper bound's
-    binomial and power; the lower bound's are never larger, since
-    lower_top <= upper_top and lower_base <= upper_base.
+    Takes a shape from a ``_<target>_shape`` function of
+    :mod:`bettibounds.estimation` and its column index; a base of 0 reads
+    base**reg as 1.  The budget guards the upper bound's binomial and power;
+    the lower bound's are never larger, since lower_top <= upper_top and
+    lower_base <= upper_base.
     """
     upper_binomial = ensure_binomial_budget(upper_top, i, digit_budget)
     if upper_binomial == 0:  # then C(lower_top, i) = 0 as well
@@ -133,7 +135,6 @@ def _bound_pair(lower_top: int, lower_base: int, upper_top: int, upper_base: int
         reg, digit_budget, TooLarge(upper_base, reg, digit_budget, power=True))
     lower_binomial = upper_binomial if lower_top == upper_top else binomial(lower_top, i)
     lower_power = upper_power if lower_base == upper_base else lower_base**reg if lower_base else 1
-    beta0 = Fraction(beta0)
     return BoundPair(beta0 * lower_binomial / lower_power, beta0 * upper_binomial * upper_power)
 
 
@@ -144,13 +145,7 @@ def pure_bounds(n: int, r: int, i: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
     at most n + r.  Exact rationals; i above n yields (0, 0).  Raises
     TooLarge when C(n, i) or n**r would exceed the digit budget.
     """
-    if n < 1:
-        raise DomainError(f"sequence length must be at least 1, got {n}")
-    if r < 0:
-        raise DomainError(f"row slack must be nonnegative, got {r}")
-    if i < 0:
-        raise DomainError(f"column index must be nonnegative, got {i}")
-    return _bound_pair(n, n, n, n, r, 1, i, digit_budget)
+    return _bound_pair(*_pure_shape(n, r, i), i, digit_budget)
 
 
 def extremal_sequences(
@@ -193,8 +188,7 @@ def algebraic_bounds(
     pdim**reg as 1.  Indices above pdim yield (0, 0).  Raises TooLarge when
     C(pdim, i) or pdim**reg would exceed the digit budget.
     """
-    beta0 = _check_module(codim, pdim, reg, beta0, i)
-    return _bound_pair(codim, codim, pdim, pdim, reg, beta0, i, digit_budget)
+    return _bound_pair(*_module_shape(codim, pdim, reg, beta0, i), i, digit_budget)
 
 
 def veronese_bounds(
@@ -208,10 +202,7 @@ def veronese_bounds(
     DomainError when i lies outside [0, N].  The degenerate embedding
     (n = d = 1, N = 0) follows the free-module conventions.
     """
-    big_n = veronese_codim(n, d).codim
-    if not 0 <= i <= big_n:
-        raise DomainError(f"column index must lie in [0, {big_n}], got {i}")
-    return _bound_pair(big_n, big_n, big_n, big_n, n, 1, i, digit_budget)
+    return _bound_pair(*_veronese_shape(n, d, i), i, digit_budget)
 
 
 def variety_bounds(
@@ -226,8 +217,7 @@ def variety_bounds(
     the variety and reg the regularity of its coordinate ring.  Raises
     TooLarge when C(dim_l, i) or dim_l**reg would exceed the digit budget.
     """
-    _check_variety(dim_l, dim_x, reg, i)
-    return _bound_pair(dim_l - dim_x, dim_l, dim_l, dim_l, reg, 1, i, digit_budget)
+    return _bound_pair(*_variety_shape(dim_l, dim_x, reg, i), i, digit_budget)
 
 
 def hypersurface_dim_l(m: int, delta: int, e: int) -> int:

@@ -237,7 +237,7 @@ _BOUND_TARGETS = {
     "pure": lambda a: (
         {"N": a.n, "r": a.r, "i": a.i}, {},
         lambda budget: bounds_mod.pure_bounds(a.n, a.r, a.i, budget),
-        lambda *est: estimation.algebraic_digit_bracket(a.n, a.n, a.r, 1, a.i, *est),
+        lambda *est: estimation.pure_digit_bracket(a.n, a.r, a.i, *est),
     ),
     "module": lambda a: (
         {"codim": a.codim, "pdim": a.pdim, "reg": a.reg, "beta0": str(a.beta0), "i": a.i}, {},
@@ -246,7 +246,7 @@ _BOUND_TARGETS = {
     ),
     "veronese": lambda a: (
         {"n": a.n, "d": a.d, "i": a.i},
-        {"N": bounds_mod.veronese_codim(a.n, a.d).codim},
+        {"N": estimation.veronese_codim(a.n, a.d).codim},
         lambda budget: bounds_mod.veronese_bounds(a.n, a.d, a.i, budget),
         lambda *est: estimation.veronese_digit_bracket(a.n, a.d, a.i, *est),
     ),

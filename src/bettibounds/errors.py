@@ -35,14 +35,15 @@ class TooLarge(BettiError):
     """An exact factor of a bound, C(n, k) or n**k, would exceed the digit budget."""
 
     def __init__(self, n, k, digit_budget, power=False):
+        super().__init__(n, k, digit_budget, power)  # args that pickling passes back
         self.n = n
         self.k = k
         self.digit_budget = digit_budget
         self.factor = f"{n}**{k}" if power else f"C({n}, {k})"
-        super().__init__(
-            f"{self.factor} exceeds the exact-arithmetic budget of "
-            f"{digit_budget} decimal digits; use the digit-bracket estimator"
-        )
+
+    def __str__(self):
+        return (f"{self.factor} exceeds the exact-arithmetic budget of "
+                f"{self.digit_budget} decimal digits; use the digit-bracket estimator")
 
 
 class TableFormatError(BettiError):

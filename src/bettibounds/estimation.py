@@ -1,35 +1,44 @@
 """Rigorous log-space brackets for factorials, binomials and digit counts.
 
 Everything in this module returns *enclosures*: pairs [lo, hi] guaranteed to
-contain the true value.  Soundness rests on two mechanisms:
+contain the true value.  Each endpoint is one sum, constant + sum of
+coef * ln(val) over integers coef and val >= 1, which :func:`_log_sum`
+evaluates in a single directed pass.  Soundness rests on two mechanisms:
 
 * integral bounds on log-factorials.  Since log is increasing,
 
       integral_b^a log x dx  <=  log(a!/b!)  <=  integral_(b+1)^(a+1) log x dx,
 
-  which gives, for c >= 1,
+  which gives, for c >= 1 and 0 < i < n,
 
-      c log c - c + 1  <=  log c!  <=  (c+1) log(c+1) - c.
+      c ln c - c + 1  <=  ln c!  <=  (c+1) ln(c+1) - c,
 
-  (The classically quoted upper endpoint (c+1)log(c+1) - (c+1) fails for
+      n ln n - (n-i) ln(n-i) - (i+1) ln(i+1)  <=  ln C(n, i)
+          <=  (n+1) ln(n+1) - (n-i+1) ln(n-i+1) - i ln i - 1.
+
+  (The classically quoted upper endpoint (c+1)ln(c+1) - (c+1) fails for
   small c, e.g. c = 2; the shifted constant above is valid for all c >= 1.
-  ``paper_constants=True`` switches :func:`log_binomial_bracket` back to the
-  unshifted textbook constants for reproducing published intermediate
+  ``paper_constants=True`` adds 1 to both constants of the binomial, giving
+  the unshifted textbook constants for reproducing published intermediate
   values; that variant is not sound for small arguments.)
 
-* outward rounding.  All arithmetic runs in ``decimal`` contexts with
-  ROUND_FLOOR for lower endpoints and ROUND_CEILING for upper endpoints, at
+* outward rounding.  A lower endpoint uses the lower enclosure of ln(val)
+  where coef >= 0 and the upper one where coef < 0, and rounds every step
+  with ROUND_FLOOR; an upper endpoint mirrors this with ROUND_CEILING, at
   ``prec`` significant digits plus guard digits.  ``decimal``'s ln() is
   correctly rounded but ignores the context rounding mode, so every
   logarithm is widened by two units in the last place before use.
 
-Precision is always an explicit argument; nothing here mutates global
-decimal state, and all functions are pure.
+A digit bracket puts -reg ln(base) (+reg in the upper endpoint) and
+ln(beta0) into the same sum and divides it by ln 10.  Precision is always an
+explicit argument; nothing here mutates global decimal state, and all
+functions are pure.
 
-The digit brackets of all bound targets share one private bracket of the
-shape of the exact bounds in :mod:`bettibounds.bounds`, which imports this
-module (its size oracle, ``veronese_codim``, the argument checks), never the
-reverse.
+Each ``_<target>_shape`` function checks the arguments of one bound target
+and returns (lower_top, lower_base, upper_top, upper_base, reg, beta0), the
+shape of the bounds in :mod:`bettibounds.bounds`.  That module imports them,
+so its exact bounds and these digit brackets accept the same inputs; it
+imports this module, never the reverse.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ _GUARD_DIGITS = 10
 _ZERO = Decimal(0)
 
 #: Largest n for which exact_log_binomial will compute C(n, i) exactly.
-EXACT_BINOMIAL_LIMIT = 10**5
+_EXACT_BINOMIAL_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,9 @@ class LogBracket:
 class DigitBracket:
     """Integers certifying 10**exp_lo <= x <= 10**exp_hi.
 
-    Consequently x has between exp_lo + 1 and exp_hi + 1 decimal digits.
+    ``digits_lo`` and ``digits_hi`` are exp_lo + 1 and exp_hi + 1.  When
+    exp_lo >= 0 they bound the number of decimal digits of x; below that x
+    may be less than 1 and they count nothing.
     """
 
     exp_lo: int
@@ -116,8 +127,19 @@ def veronese_codim(n: int, d: int) -> VeroneseParams:
     return VeroneseParams(n=n, d=d, codim=math.comb(n + d, n) - n - 1)
 
 
-def _check_module(codim: int, pdim: int, reg: int, beta0, i: int) -> Fraction:
-    """Validate module-bound arguments (exact or bracketed); returns beta0 as a Fraction."""
+def _pure_shape(n: int, r: int, i: int):
+    """Pure diagrams of length n with last degree at most n + r."""
+    if n < 1:
+        raise DomainError(f"sequence length must be at least 1, got {n}")
+    if r < 0:
+        raise DomainError(f"row slack must be nonnegative, got {r}")
+    if i < 0:
+        raise DomainError(f"column index must be nonnegative, got {i}")
+    return n, n, n, n, r, Fraction(1)
+
+
+def _module_shape(codim: int, pdim: int, reg: int, beta0, i: int):
+    """A module generated in one degree, from its codim, pdim, reg and beta0."""
     if codim < 0:
         raise DomainError(f"codim must be nonnegative, got {codim}")
     if pdim < codim:
@@ -129,11 +151,19 @@ def _check_module(codim: int, pdim: int, reg: int, beta0, i: int) -> Fraction:
         raise DomainError(f"beta0 must be positive, got {beta0}")
     if i < 0:
         raise DomainError(f"column index must be nonnegative, got {i}")
-    return beta0
+    return codim, codim, pdim, pdim, reg, beta0
 
 
-def _check_variety(dim_l: int, dim_x: int, reg: int, i: int) -> None:
-    """Validate variety-bound arguments (exact or bracketed)."""
+def _veronese_shape(n: int, d: int, i: int):
+    """The degree-d Veronese of n-space: codim = pdim = N, reg <= n."""
+    big_n = veronese_codim(n, d).codim
+    if not 0 <= i <= big_n:
+        raise DomainError(f"column index must lie in [0, {big_n}], got {i}")
+    return big_n, big_n, big_n, big_n, n, Fraction(1)
+
+
+def _variety_shape(dim_l: int, dim_x: int, reg: int, i: int):
+    """A variety X embedded by a complete linear system L."""
     if dim_l < 1:
         raise DomainError(f"dim_l must be positive, got {dim_l}")
     if not 0 <= dim_x <= dim_l:
@@ -142,6 +172,7 @@ def _check_variety(dim_l: int, dim_x: int, reg: int, i: int) -> None:
         raise DomainError(f"regularity must be nonnegative, got {reg}")
     if i < 0:
         raise DomainError(f"column index must be nonnegative, got {i}")
+    return dim_l - dim_x, dim_l, dim_l, dim_l, reg, Fraction(1)
 
 
 def _contexts(prec: int) -> tuple[Context, Context]:
@@ -181,41 +212,27 @@ def ln_bracket(m: int, prec: int = DEFAULT_PRECISION) -> LogBracket:
     return LogBracket(lo, hi)
 
 
-def _sum_down(terms, constant: int, prec: int) -> Decimal:
-    """Lower bound of sum(coef * ln(val)) + constant, rounded down stepwise."""
-    down, _ = _contexts(prec)
+def _log_sum(terms, constant: int, prec: int, up: bool) -> Decimal:
+    """A lower bound (an upper bound if up) of constant + sum(coef * ln(val))."""
+    context = _contexts(prec)[up]
     acc = Decimal(constant)
     for coef, val in terms:
         lo, hi = _ln_enclosure(val, prec)
-        acc = down.add(acc, down.multiply(Decimal(coef), lo if coef >= 0 else hi))
-    return acc
-
-
-def _sum_up(terms, constant: int, prec: int) -> Decimal:
-    """Upper bound of sum(coef * ln(val)) + constant, rounded up stepwise."""
-    _, up = _contexts(prec)
-    acc = Decimal(constant)
-    for coef, val in terms:
-        lo, hi = _ln_enclosure(val, prec)
-        acc = up.add(acc, up.multiply(Decimal(coef), hi if coef >= 0 else lo))
+        acc = context.add(acc, context.multiply(Decimal(coef), hi if (coef < 0) != up else lo))
     return acc
 
 
 def log_factorial_bracket(c: int, prec: int = DEFAULT_PRECISION) -> LogBracket:
     """Enclosure of ln(c!) from the integral bounds.
 
-    [c ln c - c + 1, (c+1) ln(c+1) - c] for c >= 1; [0, 0] for c = 0.  The
-    lower endpoint is clamped to 0 for c <= 1 (0! = 1! = 1).
+    [c ln c - c + 1, (c+1) ln(c+1) - c] for c >= 1; [0, 0] for c = 0.
     """
     if c < 0:
         raise DomainError(f"factorial argument must be nonnegative, got {c}")
     if c == 0:
         return LogBracket(_ZERO, _ZERO)
-    lo = _sum_down([(c, c)], 1 - c, prec)
-    if c == 1 and lo < 0:
-        lo = _ZERO
-    hi = _sum_up([(c + 1, c + 1)], -c, prec)
-    return LogBracket(lo, hi)
+    return LogBracket(_log_sum([(c, c)], 1 - c, prec, False),
+                      _log_sum([(c + 1, c + 1)], -c, prec, True))
 
 
 def log_factorial_ratio_bracket(a: int, b: int, prec: int = DEFAULT_PRECISION) -> LogBracket:
@@ -227,20 +244,19 @@ def log_factorial_ratio_bracket(a: int, b: int, prec: int = DEFAULT_PRECISION) -
         raise DomainError(f"need a >= b >= 1, got ({a}, {b})")
     if a == b:
         return LogBracket(_ZERO, _ZERO)
-    lo = _sum_down([(a, a), (-b, b)], b - a, prec)
-    hi = _sum_up([(a + 1, a + 1), (-(b + 1), b + 1)], b - a, prec)
-    return LogBracket(lo, hi)
+    return LogBracket(_log_sum([(a, a), (-b, b)], b - a, prec, False),
+                      _log_sum([(a + 1, a + 1), (-(b + 1), b + 1)], b - a, prec, True))
 
 
-def _paper_factorial_bounds(c: int, prec: int) -> tuple[Decimal, Decimal]:
-    """Textbook constants [c ln c - c, (c+1) ln(c+1) - (c+1)] for c >= 1.
-
-    Used only by paper_constants mode; the upper endpoint undershoots
-    ln(c!) for 2 <= c <= 5.
-    """
-    lo = _sum_down([(c, c)], -c, prec)
-    hi = _sum_up([(c + 1, c + 1)], -(c + 1), prec)
-    return lo, hi
+def _log_binomial_terms(n: int, i: int, up: bool, paper_constants: bool):
+    """(terms, constant) of the lower (upper if up) endpoint of ln C(n, i)
+    in the module docstring; none for C(n, 0) = C(n, n) = 1."""
+    if i == 0 or i == n:
+        return [], 0
+    shift = 1 if paper_constants else 0
+    if up:
+        return [(n + 1, n + 1), (i - n - 1, n - i + 1), (-i, i)], shift - 1
+    return [(n, n), (i - n, n - i), (-i - 1, i + 1)], shift
 
 
 def log_binomial_bracket(
@@ -249,40 +265,30 @@ def log_binomial_bracket(
     prec: int = DEFAULT_PRECISION,
     paper_constants: bool = False,
 ) -> LogBracket:
-    """Enclosure of ln C(n, i) from the integral bounds.
-
-    Assembled as the ratio bracket for n!/(n-i)! minus the factorial bracket
-    for i!, all rounded outward:
+    """Enclosure of ln C(n, i) from the integral bounds:
 
         lower = n ln n - (n-i) ln(n-i) - (i+1) ln(i+1)
         upper = (n+1) ln(n+1) - (n-i+1) ln(n-i+1) - i ln i - 1
 
-    With paper_constants=True both endpoints shift by +1, reproducing the
-    unshifted textbook constants (not sound for small i).
+    for 0 < i < n, and [0, 0] for i = 0 or i = n.  With paper_constants=True
+    both endpoints shift by +1, reproducing the unshifted textbook constants
+    (not sound for small i).
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if not 0 <= i <= n:
         raise DomainError(f"column index must lie in [0, {n}], got {i}")
-    if i == 0 or i == n:
-        return LogBracket(_ZERO, _ZERO)
-    down, up = _contexts(prec)
-    ratio = log_factorial_ratio_bracket(n, n - i, prec)
-    if paper_constants:
-        fact_lo, fact_hi = _paper_factorial_bounds(i, prec)
-    else:
-        fact = log_factorial_bracket(i, prec)
-        fact_lo, fact_hi = fact.lo, fact.hi
-    return LogBracket(down.subtract(ratio.lo, fact_hi), up.subtract(ratio.hi, fact_lo))
+    return LogBracket(*(_log_sum(*_log_binomial_terms(n, i, up, paper_constants), prec, up)
+                        for up in (False, True)))
 
 
 def exact_log_binomial(n: int, i: int, prec: int = DEFAULT_PRECISION) -> LogBracket:
     """Tight enclosure of ln C(n, i) via the exact integer binomial.
 
-    Oracle-grade but limited to n <= EXACT_BINOMIAL_LIMIT.
+    Oracle-grade but limited to n <= 10**5.
     """
-    if n > EXACT_BINOMIAL_LIMIT:
-        raise DomainError(f"exact_log_binomial is limited to n <= {EXACT_BINOMIAL_LIMIT}")
+    if n > _EXACT_BINOMIAL_LIMIT:
+        raise DomainError(f"exact_log_binomial is limited to n <= {_EXACT_BINOMIAL_LIMIT}")
     if n < 0 or not 0 <= i <= n:
         raise DomainError(f"column index must lie in [0, {n}], got {i}")
     return ln_bracket(math.comb(n, i), prec)
@@ -300,26 +306,35 @@ def _digit_exponents(lo_nat: Decimal, hi_nat: Decimal, prec: int) -> DigitBracke
 
 
 def _digit_bracket(lower_top: int, lower_base: int, upper_top: int, upper_base: int,
-                   reg: int, beta0, i: int, prec: int, paper_constants: bool) -> DigitBracket:
+                   reg: int, beta0: Fraction, i: int, prec: int,
+                   paper_constants: bool) -> DigitBracket:
     """Certifies 10**exp_lo <= beta0 * C(lower_top, i) * lower_base**-reg and
     beta0 * C(upper_top, i) * upper_base**reg <= 10**exp_hi.
 
-    A base of 0 reads base**reg as 1.  Requires i <= lower_top: otherwise the
-    lower bound is zero and has no digit count.
+    Takes a shape from a ``_<target>_shape`` function and its column index.
+    Requires i <= lower_top: otherwise the lower bound is zero and has no
+    digit count.
     """
     if i > lower_top:
         raise DomainError(f"column index {i} exceeds {lower_top}; the lower bound is zero")
-    # A top of 0 comes only with i = 0, and C(0, 0) = C(1, 0) = 1: max(top, 1)
-    # gives log_binomial_bracket the top >= 1 it requires.
-    high = log_binomial_bracket(max(upper_top, 1), i, prec, paper_constants=paper_constants)
-    low = high if lower_top == upper_top else log_binomial_bracket(
-        max(lower_top, 1), i, prec, paper_constants=paper_constants)
-    beta0 = Fraction(beta0)
     beta0_terms = [(1, beta0.numerator), (-1, beta0.denominator)]
-    down, up = _contexts(prec)
-    lo_nat = down.add(low.lo, _sum_down([(-reg, lower_base or 1)] + beta0_terms, 0, prec))
-    hi_nat = up.add(high.hi, _sum_up([(reg, upper_base or 1)] + beta0_terms, 0, prec))
+    lo_terms, lo_constant = _log_binomial_terms(lower_top, i, False, paper_constants)
+    hi_terms, hi_constant = _log_binomial_terms(upper_top, i, True, paper_constants)
+    lo_nat = _log_sum(lo_terms + [(-reg, lower_base or 1)] + beta0_terms, lo_constant, prec, False)
+    hi_nat = _log_sum(hi_terms + [(reg, upper_base or 1)] + beta0_terms, hi_constant, prec, True)
     return _digit_exponents(lo_nat, hi_nat, prec)
+
+
+def pure_digit_bracket(
+    n: int, r: int, i: int, prec: int = DEFAULT_PRECISION, paper_constants: bool = False,
+) -> DigitBracket:
+    """Digit bracket for the pure-diagram bounds of :func:`bounds.pure_bounds`.
+
+    Certifies 10**exp_lo <= C(n,i)*n**-r and C(n,i)*n**r <= 10**exp_hi.
+    Requires i <= n (otherwise the lower bound is zero and has no digit
+    count).
+    """
+    return _digit_bracket(*_pure_shape(n, r, i), i, prec, paper_constants)
 
 
 def algebraic_digit_bracket(
@@ -329,12 +344,10 @@ def algebraic_digit_bracket(
     """Digit bracket for the module bounds of :func:`bounds.algebraic_bounds`.
 
     exp_lo bounds beta0 * C(codim, i) * codim**-reg from below and exp_hi
-    bounds beta0 * C(pdim, i) * pdim**reg from above; the pure-diagram bounds
-    are the case (N, N, r, 1, i).  Requires i <= codim (otherwise the lower
-    bound is zero and has no digit count).
+    bounds beta0 * C(pdim, i) * pdim**reg from above.  Requires i <= codim
+    (otherwise the lower bound is zero and has no digit count).
     """
-    beta0 = _check_module(codim, pdim, reg, beta0, i)
-    return _digit_bracket(codim, codim, pdim, pdim, reg, beta0, i, prec, paper_constants)
+    return _digit_bracket(*_module_shape(codim, pdim, reg, beta0, i), i, prec, paper_constants)
 
 
 def veronese_digit_bracket(
@@ -347,12 +360,9 @@ def veronese_digit_bracket(
     """Digit bracket for the Veronese Betti-number bounds C(N,i)*N**(+-n).
 
     Certifies 10**exp_lo <= C(N,i)*N**-n and C(N,i)*N**n <= 10**exp_hi,
-    with N the Veronese codimension; requires 0 < i < N.
+    with N the Veronese codimension; requires 0 <= i <= N.
     """
-    big_n = veronese_codim(n, d).codim
-    if not 0 < i < big_n:
-        raise DomainError(f"column index must lie strictly inside (0, {big_n}), got {i}")
-    return _digit_bracket(big_n, big_n, big_n, big_n, n, 1, i, prec, paper_constants)
+    return _digit_bracket(*_veronese_shape(n, d, i), i, prec, paper_constants)
 
 
 def variety_digit_bracket(
@@ -366,11 +376,7 @@ def variety_digit_bracket(
     """Digit bracket for the variety bounds of :func:`bounds.variety_bounds`.
 
     exp_lo bounds C(dim_l - dim_x, i) * dim_l**-reg from below and exp_hi
-    bounds C(dim_l, i) * dim_l**reg from above.  Requires 0 < i < dim_l and
-    i <= dim_l - dim_x (otherwise the lower bound is zero and has no digit
-    count).
+    bounds C(dim_l, i) * dim_l**reg from above.  Requires i <= dim_l - dim_x
+    (otherwise the lower bound is zero and has no digit count).
     """
-    _check_variety(dim_l, dim_x, reg, i)
-    if not 0 < i < dim_l:
-        raise DomainError(f"column index must lie strictly inside (0, {dim_l}), got {i}")
-    return _digit_bracket(dim_l - dim_x, dim_l, dim_l, dim_l, reg, 1, i, prec, paper_constants)
+    return _digit_bracket(*_variety_shape(dim_l, dim_x, reg, i), i, prec, paper_constants)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,18 @@ def test_power_factor_is_budgeted():
         algebraic_bounds(2, 4, 3 * 10**6, 1, 2)
     # a zero binomial makes the bounds (0, 0) whatever the power
     assert pure_bounds(10, 2 * 10**6, 11) == BoundPair(Fraction(0), Fraction(0))
+
+
+def test_too_large_pickles():
+    for error, factor in [(TooLarge(10, 3, 2), "C(10, 3)"),
+                          (TooLarge(7, 40, 5, power=True), "7**40")]:
+        copy = pickle.loads(pickle.dumps(error))
+        assert (copy.n, copy.k, copy.digit_budget) == (error.n, error.k, error.digit_budget)
+        assert copy.factor == error.factor == factor
+        assert str(copy) == str(error) == (
+            f"{factor} exceeds the exact-arithmetic budget of {error.digit_budget} "
+            "decimal digits; use the digit-bracket estimator"
+        )
 
 
 # -- pure-diagram bounds ------------------------------------------------------

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 import bettibounds
-from bettibounds import BettiTable, pure_diagram
+from bettibounds import BettiTable, pure_diagram, variety_bounds, veronese_bounds
 from bettibounds.cli import build_parser, main
 from bettibounds.tablefile import dump
 from conftest import mp_ln, mp_log_comb
@@ -315,6 +315,42 @@ def test_fallback_note_in_machine_output(capsys):
     assert results["note"] in out.splitlines()
     assert results["note"].endswith("estimated instead")
     assert (results["exp_lo"], results["exp_hi"]) == (1482, 1501)
+
+
+#: A domain error per target (two for pure); the exact bounds and --estimate
+#: check their arguments in the same function.
+DOMAIN_ERRORS = [
+    ("bounds", "pure", "-N", "0", "-r", "1", "-i", "0"),
+    ("bounds", "pure", "-N", "3", "-r", "-1", "-i", "0"),
+    ("bounds", "module", "--codim", "3", "--pdim", "2", "--reg", "1", "-i", "1"),
+    ("bounds", "veronese", "-n", "2", "-d", "5", "-i", "19"),
+    ("bounds", "variety", "--dim-l", "5", "--dim-x", "6", "--reg", "1", "-i", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", DOMAIN_ERRORS)
+def test_estimate_rejects_what_exact_rejects(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("betti: ") and err.endswith("\n")
+    assert run(capsys, *argv, "--estimate") == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, pair", [
+    (("bounds", "veronese", "-n", "2", "-d", "5", "-i", "0"), veronese_bounds(2, 5, 0)),
+    (("bounds", "veronese", "-n", "2", "-d", "5", "-i", "18"), veronese_bounds(2, 5, 18)),
+    (("bounds", "variety", "--dim-l", "20", "--dim-x", "2", "--reg", "1", "-i", "0"),
+     variety_bounds(20, 2, 1, 0)),
+    (("bounds", "variety", "--dim-l", "20", "--dim-x", "0", "--reg", "1", "-i", "20"),
+     variety_bounds(20, 0, 1, 20)),
+])
+def test_end_column_fallback_encloses_exact_bounds(capsys, argv, pair):
+    # the power (18**2 or 20**1) exceeds one digit, so the bracket stands in
+    results = run_json(capsys, *argv, "--max-exact-digits", "1")["results"]
+    assert results["mode"] == "estimate"
+    assert results["note"].endswith("estimated instead")
+    assert Fraction(10) ** results["exp_lo"] <= pair.lower
+    assert pair.upper <= Fraction(10) ** results["exp_hi"]
 
 
 def test_bounds_veronese_domain_error(capsys):

@@ -19,33 +19,43 @@ from bettibounds import (
     log_factorial_bracket,
     log_factorial_ratio_bracket,
     pure_bounds,
+    pure_digit_bracket,
     variety_bounds,
     variety_digit_bracket,
     veronese_bounds,
     veronese_codim,
     veronese_digit_bracket,
 )
+from bettibounds.estimation import _ln_enclosure, _log_sum
 from conftest import mp_ln
+
+
+def oracle_digit_logs(n_low, n_high, base, reg, i, paper=False):
+    """Independent (mpmath, 60 digits) base-10 logs that the digit-bracket
+    exponents round: the integral-bound endpoints of ln C(n_low, i) and
+    ln C(n_high, i) (0 at i = 0 or i = n, where C = 1), shifted by
+    -reg ln(base) and +reg ln(base); a base of 0 reads base**reg as 1."""
+    ln = mpmath.ln
+    with mpmath.workdps(60):
+        lo = hi = mpmath.mpf(0)
+        if 0 < i < n_low:
+            lo = n_low * ln(n_low) - (n_low - i) * ln(n_low - i) - (i + 1) * ln(i + 1) + paper
+        if 0 < i < n_high:
+            hi = (
+                (n_high + 1) * ln(n_high + 1)
+                - (n_high - i + 1) * ln(n_high - i + 1)
+                - i * ln(i)
+                - 1
+                + paper
+            )
+        shift = reg * ln(base or 1)
+        return (lo - shift) / ln(10), (hi + shift) / ln(10)
 
 
 def oracle_digit_exponents(n_low, n_high, base, reg, i, paper=False):
     """Independent (mpmath) evaluation of the digit-bracket exponents."""
-    with mpmath.workdps(60):
-        ln = mpmath.ln
-        lo = n_low * ln(n_low) - (n_low - i) * ln(n_low - i) - (i + 1) * ln(i + 1)
-        hi = (
-            (n_high + 1) * ln(n_high + 1)
-            - (n_high - i + 1) * ln(n_high - i + 1)
-            - i * ln(i)
-            - 1
-        )
-        if paper:
-            lo += 1
-            hi += 1
-        shift = reg * ln(base)
-        exp_lo = int(mpmath.floor((lo - shift) / ln(10)))
-        exp_hi = int(mpmath.ceil((hi + shift) / ln(10)))
-        return exp_lo, exp_hi
+    lo10, hi10 = oracle_digit_logs(n_low, n_high, base, reg, i, paper)
+    return int(mpmath.floor(lo10)), int(mpmath.ceil(hi10))
 
 
 # -- ln ------------------------------------------------------------------------
@@ -87,6 +97,15 @@ def test_ln_bracket_errors():
         ln_bracket(-3)
     with pytest.raises(DomainError):
         ln_bracket(10, 0)
+
+
+def test_log_sum_takes_the_outer_end_of_each_logarithm():
+    for prec in (1, 5, 40):
+        lo, hi = _ln_enclosure(7, prec)
+        ends = [_log_sum(terms, 0, prec, up)
+                for terms in ([(1, 7)], [(-1, 7)]) for up in (False, True)]
+        assert ends == [lo, hi, hi.copy_negate(), lo.copy_negate()]
+    assert _log_sum([], -3, 40, False) == _log_sum([], -3, 40, True) == -3
 
 
 # -- factorials -----------------------------------------------------------------
@@ -300,13 +319,14 @@ def test_variety_digit_bracket_huge():
 @st.composite
 def target_calls(draw):
     """(exact bounds, arguments, digit bracket, arguments) for one target on
-    small inputs where the lower bound is positive, so both are defined."""
+    small inputs, at any column from 0 to the top where the lower bound is
+    positive, so both are defined."""
     target = draw(st.sampled_from(("pure", "module", "veronese", "variety")))
     reg = draw(st.integers(0, 6))
     if target == "pure":
         n = draw(st.integers(1, 40))
-        i = draw(st.integers(0, n))
-        return pure_bounds, (n, reg, i), algebraic_digit_bracket, (n, n, reg, 1, i)
+        args = (n, reg, draw(st.integers(0, n)))
+        return pure_bounds, args, pure_digit_bracket, args
     if target == "module":
         codim = draw(st.integers(0, 30))
         pdim = draw(st.integers(codim, 35))
@@ -314,12 +334,12 @@ def target_calls(draw):
         args = (codim, pdim, reg, beta0, draw(st.integers(0, codim)))
         return algebraic_bounds, args, algebraic_digit_bracket, args
     if target == "veronese":
-        n, d = draw(st.integers(1, 3)), draw(st.integers(3, 6))
-        args = (n, d, draw(st.integers(1, veronese_codim(n, d).codim - 1)))
+        n, d = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+        args = (n, d, draw(st.integers(0, veronese_codim(n, d).codim)))
         return veronese_bounds, args, veronese_digit_bracket, args
-    dim_l = draw(st.integers(2, 40))
-    dim_x = draw(st.integers(0, dim_l - 1))
-    args = (dim_l, dim_x, reg, draw(st.integers(1, min(dim_l - 1, dim_l - dim_x))))
+    dim_l = draw(st.integers(1, 40))
+    dim_x = draw(st.integers(0, dim_l))
+    args = (dim_l, dim_x, reg, draw(st.integers(0, dim_l - dim_x)))
     return variety_bounds, args, variety_digit_bracket, args
 
 
@@ -346,16 +366,54 @@ def test_algebraic_digit_bracket_degenerate_and_errors():
 
 
 def test_digit_bracket_errors():
-    with pytest.raises(DomainError):
-        veronese_digit_bracket(2, 5, 0)
-    with pytest.raises(DomainError):
-        veronese_digit_bracket(2, 5, 18)
+    # the end columns 0 and N = 18 take the same inputs as the exact bounds
+    for i in (0, 18):
+        pair, bracket = veronese_bounds(2, 5, i), veronese_digit_bracket(2, 5, i)
+        assert frac_pow10(bracket.exp_lo) <= pair.lower
+        assert pair.upper <= frac_pow10(bracket.exp_hi)
+    for i in (-1, 19):
+        with pytest.raises(DomainError, match=r"\[0, 18\]"):
+            veronese_digit_bracket(2, 5, i)
     with pytest.raises(DomainError):
         variety_digit_bracket(5, 2, 1, 5)
     with pytest.raises(DomainError):
         variety_digit_bracket(5, 2, 1, 4)  # exceeds dim_l - dim_x
     with pytest.raises(DomainError):
         variety_digit_bracket(5, 2, -1, 2)
+
+
+def test_digit_brackets_match_oracle_on_seeded_sweep():
+    # pure, Veronese and variety shapes, about two thirds at an end column
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(240):
+        target, paper = rng.choice(("pure", "veronese", "variety")), rng.random() < 0.3
+        reg = rng.choice((0, 1, 2, 3, rng.randint(0, 10**4)))
+        if target == "pure":
+            n = rng.randint(1, 10 ** rng.randint(1, 9))
+            i = rng.choice((0, n, rng.randint(0, n)))
+            bracket, oracle = pure_digit_bracket(n, reg, i, 40, paper), (n, n, n, reg, i)
+        elif target == "veronese":
+            n = rng.randint(1, 3)
+            d = rng.randint(1, 10 ** (6 // n))
+            big_n = veronese_codim(n, d).codim
+            i = rng.choice((0, big_n, rng.randint(0, big_n)))
+            bracket = veronese_digit_bracket(n, d, i, 40, paper)
+            oracle = (big_n, big_n, big_n, n, i)
+        else:
+            dim_l = rng.randint(1, 10 ** rng.randint(1, 9))
+            dim_x = rng.randint(0, min(dim_l, 5))
+            i = rng.choice((0, dim_l - dim_x, rng.randint(0, dim_l - dim_x)))
+            bracket = variety_digit_bracket(dim_l, dim_x, reg, i, 40, paper)
+            oracle = (dim_l - dim_x, dim_l, dim_l, reg, i)
+        lo10, hi10 = oracle_digit_logs(*oracle, paper)
+        with mpmath.workdps(60):
+            for value, exp, rounded in ((lo10, bracket.exp_lo, mpmath.floor),
+                                        (hi10, bracket.exp_hi, mpmath.ceil)):
+                if abs(value - mpmath.nint(value)) > mpmath.mpf("1e-20"):
+                    assert exp == int(rounded(value)), (target, oracle, paper)
+                    checked += 1
+    assert checked >= 400
 
 
 def test_bracket_types_validate():
