@@ -18,24 +18,33 @@ chain and there are at most ``len(table)`` peels.  The certificate for a
 decomposition, including one that did not come from ``decompose``, is
 ``verify_decomposition``.
 
-Cost: the remainder is a private copy of the table, one {j: value} dict per
-column, changed in place.  A peel of type d = (d_0, ..., d_t) reads the t + 1
-column minima (each column's first key, since columns are kept in ascending
-degree), computes the Herzog-Kuhl values of d once (O(t^2) small-integer
-products) and updates only the t + 1 positions (i, d_i); no table is copied.
-So a peel costs O(t^2) whatever the support, and a table of support s
-decomposes in O(s * t^2) after an O(s log s) copy.  ``reconstruct``, the
-certificate behind ``verify_decomposition``, adds every c * beta into one dict
-at the same cost per term.
+Cost: the remainder is a private copy of the table, one {j: (num, den)} dict
+per column, changed in place.  Values are reduced int pairs rather than
+``Fraction``s, because the per-operation dispatch of ``Fraction`` cost more
+than its arithmetic; ``Fraction``s are built only for the returned
+coefficients.  A peel of type d = (d_0, ..., d_t) reads the t + 1 column
+minima (each column's first key, since columns are kept in ascending degree),
+computes the Herzog-Kuhl values of d once (O(t^2) small-integer products),
+picks c by cross-multiplication and updates only the t + 1 positions
+(i, d_i) with one gcd each; no table is copied.  So a peel costs O(t^2)
+whatever the support, and a table of support s decomposes in O(s * t^2) after
+an O(s log s) copy.  ``reconstruct``, the certificate behind
+``verify_decomposition``, adds every c * beta into one dict of int pairs at
+the same cost per term, and recomputes the Herzog-Kuhl values itself rather
+than trusting the peel's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .diagrams import BettiTable, _hk_values, deg_seq_lt, degree_sequence
 from .errors import DomainError, NotInBSCone
+
+#: {i: {j: (num, den)}}: each column's entries as reduced int pairs.
+_Columns = dict[int, dict[int, tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -67,30 +76,36 @@ class Decomposition:
         Raises DomainError for a coefficient that is not positive or a type
         that is not a degree sequence.
         """
-        total: dict[tuple[int, int], Fraction] = {}
+        total: dict[tuple[int, int], tuple[int, int]] = {}
         for c, d in self.terms:
             c = Fraction(c)
             if c <= 0:
                 raise DomainError(f"coefficient {c} is not positive")
             d = degree_sequence(d)
-            for i, (di, b) in enumerate(zip(d, _hk_values(d))):
-                total[i, di] = total.get((i, di), 0) + c * b
-        return BettiTable._trusted(total)
+            cn, cd = c.numerator, c.denominator
+            for i, (di, (bn, bd)) in enumerate(zip(d, _hk_values(d))):
+                num, den = cn * bn, cd * bd
+                old = total.get((i, di))
+                if old is not None:
+                    num, den = old[0] * den + num * old[1], old[1] * den
+                g = gcd(num, den)
+                total[i, di] = (num // g, den // g)
+        return BettiTable._trusted({key: Fraction(n, m) for key, (n, m) in total.items()})
 
 
-def _columns(table: BettiTable) -> dict[int, dict[int, Fraction]]:
-    """A private copy of the table as {i: {j: value}}, each column in ascending j.
+def _columns(table: BettiTable) -> _Columns:
+    """A private copy of the table as ``_Columns``, each column in ascending j.
 
     Keys are only ever deleted afterwards, never inserted, so the first key
     of every column stays its minimal degree.
     """
-    columns: dict[int, dict[int, Fraction]] = {}
+    columns: _Columns = {}
     for (i, j), value in table.items():  # sorted by (i, j)
-        columns.setdefault(i, {})[j] = value
+        columns.setdefault(i, {})[j] = (value.numerator, value.denominator)
     return columns
 
 
-def _minima(columns: dict[int, dict[int, Fraction]]) -> tuple[int, ...]:
+def _minima(columns: _Columns) -> tuple[int, ...]:
     """The leading degree sequence of ``columns``, whose emptied columns are deleted."""
     minima = []
     for i in range(max(columns) + 1):
@@ -109,7 +124,7 @@ def _minima(columns: dict[int, dict[int, Fraction]]) -> tuple[int, ...]:
     return tuple(minima)
 
 
-def _peel_columns(columns: dict[int, dict[int, Fraction]], d: tuple[int, ...]) -> Fraction:
+def _peel_columns(columns: _Columns, d: tuple[int, ...]) -> Fraction:
     """Subtract the largest c * pure_diagram(d) that keeps columns >= 0, in place.
 
     Only the t + 1 positions (i, d_i) change; entries and columns that reach
@@ -120,17 +135,27 @@ def _peel_columns(columns: dict[int, dict[int, Fraction]], d: tuple[int, ...]) -
         i = values.index(None)
         raise DomainError(f"table has no entry at ({i}, {d[i]}); cannot peel type {d}")
     betas = _hk_values(d)
-    c = min(v / b for v, b in zip(values, betas))
-    for i, (di, v, b) in enumerate(zip(d, values, betas)):
-        rest = v - c * b  # >= 0, and 0 where the minimum is reached
+    # c = min over i of (vn / vd) / (bn / bd), compared by cross-multiplication
+    ratios = [(vn * bd, vd * bn) for (vn, vd), (bn, bd) in zip(values, betas)]
+    cn, cd = ratios[0]
+    for num, den in ratios[1:]:
+        if num * cd < cn * den:
+            cn, cd = num, den
+    g = gcd(cn, cd)
+    cn, cd = cn // g, cd // g
+    for i, (di, (vn, vd), (bn, bd)) in enumerate(zip(d, values, betas)):
+        # vn/vd - c * bn/bd, which is >= 0 and 0 where the minimum is reached
+        num = vn * cd * bd - cn * bn * vd
         column = columns[i]
-        if rest:
-            column[di] = rest
+        if num:
+            den = vd * cd * bd
+            g = gcd(num, den)
+            column[di] = (num // g, den // g)
         else:
             del column[di]
             if not column:
                 del columns[i]
-    return c
+    return Fraction(cn, cd)
 
 
 def leading_degree_sequence(table: BettiTable) -> tuple[int, ...]:
@@ -155,7 +180,9 @@ def peel(table: BettiTable, d: tuple[int, ...]) -> tuple[Fraction, BettiTable]:
     """
     columns = _columns(table)
     c = _peel_columns(columns, degree_sequence(d))
-    remainder = {(i, j): v for i, column in columns.items() for j, v in column.items()}
+    remainder = {
+        (i, j): Fraction(n, m) for i, column in columns.items() for j, (n, m) in column.items()
+    }
     return c, BettiTable._trusted(remainder)
 
 

@@ -186,17 +186,21 @@ class BettiTable:
         return format_diagram(self)
 
 
-def _hk_values(d: tuple[int, ...]) -> list[Fraction]:
+def _hk_values(d: tuple[int, ...]) -> list[tuple[int, int]]:
     """Herzog-Kuhl values beta_{i, d_i} of the pure diagram of d, in column order.
 
-    d must be a validated degree sequence, so every divisor is nonzero.
-    Shared by ``pure_diagram``, the peel and ``Decomposition.reconstruct``.
+    Each value is a reduced int pair (numerator, denominator), both positive,
+    so the peel and ``Decomposition.reconstruct`` can do their arithmetic on
+    plain ints; ``pure_diagram`` wraps the pairs in ``Fraction``.  d must be a
+    validated degree sequence, so every divisor is nonzero.
     """
     top = math.prod([x - d[0] for x in d[1:]])
-    return [
-        Fraction(top, math.prod([di - x for x in d[:i]]) * math.prod([x - di for x in d[i + 1:]]))
-        for i, di in enumerate(d)
-    ]
+    values = []
+    for i, di in enumerate(d):
+        den = math.prod([di - x for x in d[:i]]) * math.prod([x - di for x in d[i + 1:]])
+        g = math.gcd(top, den)
+        values.append((top // g, den // g))
+    return values
 
 
 def pure_diagram(degrees: Iterable[int]) -> BettiTable:
@@ -208,7 +212,7 @@ def pure_diagram(degrees: Iterable[int]) -> BettiTable:
     """
     d = degree_sequence(degrees)
     return BettiTable._trusted(
-        {(i, di): value for i, (di, value) in enumerate(zip(d, _hk_values(d)))}
+        {(i, di): Fraction(n, m) for i, (di, (n, m)) in enumerate(zip(d, _hk_values(d)))}
     )
 
 

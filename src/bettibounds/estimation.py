@@ -72,9 +72,6 @@ class LogBracket:
         if self.lo > self.hi:
             raise DomainError(f"bracket endpoints out of order: [{self.lo}, {self.hi}]")
 
-    def width(self) -> Decimal:
-        return self.hi - self.lo
-
     def contains(self, value) -> bool:
         value = Decimal(value) if not isinstance(value, Decimal) else value
         return self.lo <= value <= self.hi

@@ -65,7 +65,7 @@ def loads(text: str) -> BettiTable:
         if (i, j) in entries:
             raise TableFormatError(f"line {n}: duplicate entry for ({i}, {j})")
         entries[i, j] = value
-    return BettiTable(entries)
+    return BettiTable._trusted(entries)  # every entry was checked above
 
 
 def dumps(table: BettiTable) -> str:

@@ -305,16 +305,21 @@ def _seeded_chain(rng, support, pdim):
     return chain
 
 
+def _table_of(terms):
+    """sum c * pure_diagram(d) over the terms, from the independent ``_hk``."""
+    entries = {}
+    for c, d in terms:
+        for i, (di, v) in enumerate(zip(d, _hk(d))):
+            entries[i, di] = entries.get((i, di), 0) + c * v
+    return BettiTable(entries)
+
+
 def _chain_terms_and_table(rng, support, pdim):
     terms = tuple(
         (Fraction(rng.randint(1, 9), rng.randint(1, 9)), d)
         for d in _seeded_chain(rng, support, pdim)
     )
-    entries = {}
-    for c, d in terms:
-        for i, (di, v) in enumerate(zip(d, _hk(d))):
-            entries[i, di] = entries.get((i, di), 0) + c * v
-    return terms, BettiTable(entries)
+    return terms, _table_of(terms)
 
 
 def _perturbations(rng, terms, table):
@@ -372,3 +377,58 @@ def test_decompose_round_trip_at_support_2000():
     decomposition = decompose(table)
     assert decomposition.terms == terms
     assert decomposition.reconstruct() == table
+
+
+# -- int pairs stay inside the peel --------------------------------------------
+
+
+def _all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+@pytest.mark.parametrize("seed, support, pdim", DIFFERENTIAL_CASES[:5])
+def test_public_results_are_fractions(seed, support, pdim):
+    _, table = _chain_terms_and_table(random.Random(seed), support, pdim)
+    decomposition = decompose(table)
+    assert _all_fractions(decomposition.coefficients)
+    assert _all_fractions(v for _, v in decomposition.reconstruct().items())
+    d = leading_degree_sequence(table)
+    c, remainder = peel(table, d)
+    assert type(c) is Fraction
+    assert _all_fractions(v for _, v in remainder.items())
+    assert remainder == table.subtract(pure_diagram(d).scale(c))
+
+
+PURE_VALUES = [
+    ((5,), [1]),
+    ((-5, -2), [1, 1]),
+    ((-3, -1, 0, 4), [1, Fraction(21, 5), Fraction(7, 2), Fraction(3, 10)]),
+    ((-1, 0, 1, 2, 3), [1, 4, 6, 4, 1]),
+    ((0, 2, 7, 11, 12), [1, Fraction(154, 75), Fraction(66, 25), Fraction(14, 3),
+                         Fraction(77, 25)]),
+]
+
+
+@pytest.mark.parametrize("d, values", PURE_VALUES)
+def test_pure_diagram_values(d, values):
+    diagram = pure_diagram(d)
+    assert diagram.items() == [((i, di), v) for i, (di, v) in enumerate(zip(d, values))]
+    assert _all_fractions(v for _, v in diagram.items())
+    assert values == _hk(d)
+
+
+HOMOGENEITY_CASES = [(30, 30, 4, 0), (300, 300, 8, 0), (31, 30, 5, -9), (301, 300, 10, -40)]
+
+
+@pytest.mark.parametrize("seed, support, pdim, shift", HOMOGENEITY_CASES)
+def test_decompose_is_homogeneous(seed, support, pdim, shift):
+    # decompose(q * T) = q * decompose(T), with q far from the small
+    # coefficients of the other chains so the int pairs get large
+    terms, _ = _chain_terms_and_table(random.Random(seed), support, pdim)
+    terms = tuple((c, tuple(x + shift for x in d)) for c, d in terms)
+    table = _table_of(terms)
+    for q in (Fraction(7, 3), Fraction(10**30, 7), Fraction(1, 2**61 - 1)):
+        scaled = table.scale(q)
+        decomposition = decompose(scaled)
+        assert decomposition.terms == tuple((c * q, d) for c, d in terms)
+        verify_decomposition(scaled, decomposition)

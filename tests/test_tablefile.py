@@ -5,6 +5,7 @@ import pytest
 
 from bettibounds import BettiTable, TableFormatError, pure_diagram
 from bettibounds.tablefile import dump, dumps, load, loads, parse_rational
+from test_decompose import DIFFERENTIAL_CASES, _chain_terms_and_table
 
 
 WORKED = """\
@@ -41,6 +42,14 @@ def test_round_trip_random_tables():
         }
         table = BettiTable(entries)
         assert loads(dumps(table)) == table
+
+
+@pytest.mark.parametrize("seed, support, pdim", DIFFERENTIAL_CASES)
+def test_round_trip_differential_chains(seed, support, pdim):
+    _, table = _chain_terms_and_table(random.Random(seed), support, pdim)
+    loaded = loads(dumps(table))
+    assert loaded == table
+    assert all(type(v) is Fraction for _, v in loaded.items())
 
 
 def test_file_round_trip(tmp_path, quotient_table):
