@@ -29,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -78,6 +79,48 @@ def _int_in(lo: int, hi: float = math.inf):
     return integer
 
 
+#: Per bounds target: its help text, the names of its exact bounds in
+#: ``bounds`` and of its digit bracket in ``estimation``, and its arguments as
+#: (flag, dest, type, default, help) in the order both functions take them.
+#: A default of None makes the flag required; ``dest`` is also the key in
+#: machine ``inputs``.  The functions are looked up by name at call time, so
+#: wrappers installed on those modules see every call.
+_BOUND_TARGETS = {
+    "pure": (
+        "bounds C(N,i)*N**(+-r) for pure diagrams", "pure_bounds", "pure_digit_bracket", (
+            ("-N", "N", int, None, "sequence length"),
+            ("-r", "r", int, None, "row slack"),
+            ("-i", "i", int, None, "column index"),
+        ),
+    ),
+    "module": (
+        "bounds from codim/pdim/reg/beta0", "algebraic_bounds", "algebraic_digit_bracket", (
+            ("--codim", "codim", int, None, None),
+            ("--pdim", "pdim", int, None, None),
+            ("--reg", "reg", int, None, None),
+            ("--beta0", "beta0", _rational_argument, Fraction(1), None),
+            ("-i", "i", int, None, None),
+        ),
+    ),
+    "veronese": (
+        "bounds for the degree-d Veronese of n-space", "veronese_bounds",
+        "veronese_digit_bracket", (
+            ("-n", "n", int, None, None),
+            ("-d", "d", int, None, None),
+            ("-i", "i", int, None, None),
+        ),
+    ),
+    "variety": (
+        "bounds for an embedded variety", "variety_bounds", "variety_digit_bracket", (
+            ("--dim-l", "dim_l", int, None, None),
+            ("--dim-x", "dim_x", int, None, None),
+            ("--reg", "reg", int, None, None),
+            ("-i", "i", int, None, None),
+        ),
+    ),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``betti`` parser, built once per process on first use.
@@ -124,6 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
         "degrees", type=_degrees_argument,
         help="comma-separated strictly increasing integers, e.g. 0,2,4,5",
     )
+    # argparse takes -3,1,2 for an option: its matcher knows only plain numbers
+    p_pure._negative_number_matcher = re.compile(r"^-\d")
     p_pure.set_defaults(handler=_cmd_pure, label="pure")
 
     p_dec = sub.add_parser(
@@ -142,40 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="binomial bounds on total Betti numbers")
     bsub = p_bounds.add_subparsers(dest="target", required=True, metavar="TARGET")
-
-    b_pure = bsub.add_parser(
-        "pure", parents=[common, estimate], help="bounds C(N,i)*N**(+-r) for pure diagrams"
-    )
-    b_pure.add_argument("-N", dest="n", type=int, required=True, help="sequence length")
-    b_pure.add_argument("-r", dest="r", type=int, required=True, help="row slack")
-    b_pure.add_argument("-i", dest="i", type=int, required=True, help="column index")
-
-    b_mod = bsub.add_parser(
-        "module", parents=[common, estimate], help="bounds from codim/pdim/reg/beta0"
-    )
-    b_mod.add_argument("--codim", type=int, required=True)
-    b_mod.add_argument("--pdim", type=int, required=True)
-    b_mod.add_argument("--reg", type=int, required=True)
-    b_mod.add_argument("--beta0", type=_rational_argument, default=Fraction(1))
-    b_mod.add_argument("-i", dest="i", type=int, required=True)
-
-    b_ver = bsub.add_parser(
-        "veronese", parents=[common, estimate],
-        help="bounds for the degree-d Veronese of n-space",
-    )
-    b_ver.add_argument("-n", dest="n", type=int, required=True)
-    b_ver.add_argument("-d", dest="d", type=int, required=True)
-    b_ver.add_argument("-i", dest="i", type=int, required=True)
-
-    b_var = bsub.add_parser(
-        "variety", parents=[common, estimate], help="bounds for an embedded variety"
-    )
-    b_var.add_argument("--dim-l", dest="dim_l", type=int, required=True)
-    b_var.add_argument("--dim-x", dest="dim_x", type=int, required=True)
-    b_var.add_argument("--reg", type=int, required=True)
-    b_var.add_argument("-i", dest="i", type=int, required=True)
-
-    for target, b_parser in bsub.choices.items():
+    for target, (summary, _, _, arguments) in _BOUND_TARGETS.items():
+        b_parser = bsub.add_parser(target, parents=[common, estimate], help=summary)
+        for flag, dest, kind, default, text in arguments:
+            b_parser.add_argument(flag, dest=dest, type=kind, default=default,
+                                  required=default is None, help=text)
         b_parser.set_defaults(handler=_cmd_bounds, label=f"bounds {target}")
 
     p_dim = sub.add_parser(
@@ -192,15 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pure(args):
     table = pure_diagram(args.degrees)
-    column_totals = [Fraction(0)] * (table.pdim + 1)
-    for (i, _), v in table.items():
-        column_totals[i] += v
-    totals = [str(t) for t in column_totals]
+    entries = table.items()
+    totals = [str(v) for _, v in entries]  # one entry per column
     inputs = {"degrees": list(args.degrees)}
     results = {
-        "entries": [
-            {"i": i, "j": j, "value": str(v)} for (i, j), v in table.items()
-        ],
+        "entries": [{"i": i, "j": j, "value": str(v)} for (i, j), v in entries],
         "totals": totals,
         "pdim": table.pdim,
         "reg": table.reg,
@@ -228,50 +240,24 @@ def _cmd_decompose(args):
     return inputs, results, text
 
 
-#: Per bounds target, from the parsed arguments: its inputs, its extra
-#: results, and calls to its exact bounds (given the digit budget) and to its
-#: digit bracket (given precision and paper constants).  The calls look their
-#: functions up in the modules at call time, so wrappers installed on those
-#: modules see every call.
-_BOUND_TARGETS = {
-    "pure": lambda a: (
-        {"N": a.n, "r": a.r, "i": a.i}, {},
-        lambda budget: bounds_mod.pure_bounds(a.n, a.r, a.i, budget),
-        lambda *est: estimation.pure_digit_bracket(a.n, a.r, a.i, *est),
-    ),
-    "module": lambda a: (
-        {"codim": a.codim, "pdim": a.pdim, "reg": a.reg, "beta0": str(a.beta0), "i": a.i}, {},
-        lambda budget: bounds_mod.algebraic_bounds(a.codim, a.pdim, a.reg, a.beta0, a.i, budget),
-        lambda *est: estimation.algebraic_digit_bracket(a.codim, a.pdim, a.reg, a.beta0, a.i, *est),
-    ),
-    "veronese": lambda a: (
-        {"n": a.n, "d": a.d, "i": a.i},
-        {"N": estimation.veronese_codim(a.n, a.d).codim},
-        lambda budget: bounds_mod.veronese_bounds(a.n, a.d, a.i, budget),
-        lambda *est: estimation.veronese_digit_bracket(a.n, a.d, a.i, *est),
-    ),
-    "variety": lambda a: (
-        {"dim_l": a.dim_l, "dim_x": a.dim_x, "reg": a.reg, "i": a.i}, {},
-        lambda budget: bounds_mod.variety_bounds(a.dim_l, a.dim_x, a.reg, a.i, budget),
-        lambda *est: estimation.variety_digit_bracket(a.dim_l, a.dim_x, a.reg, a.i, *est),
-    ),
-}
-
-
 def _cmd_bounds(args):
-    described, extra, exact, bracket = _BOUND_TARGETS[args.target](args)
+    _, exact, bracket, arguments = _BOUND_TARGETS[args.target]
+    values = {dest: getattr(args, dest) for _, dest, *_ in arguments}
+    extra = {}
+    if args.target == "veronese":
+        extra["N"] = estimation.veronese_codim(args.n, args.d).codim
     inputs = {
         "precision": args.precision,
         "paper_constants": bool(args.paper_constants),
         "max_exact_digits": args.max_exact_digits,
-        **described,
+        **{dest: str(v) if isinstance(v, Fraction) else v for dest, v in values.items()},
         "estimate": args.estimate,
     }
     text = [f"{k} = {v}" for k, v in extra.items()]
     note = None
     if not args.estimate:
         try:
-            pair = exact(args.max_exact_digits)
+            pair = getattr(bounds_mod, exact)(*values.values(), args.max_exact_digits)
         except TooLarge as exc:
             note = (f"{exc.factor} exceeds the digit budget of {exc.digit_budget} digits; "
                     "estimated instead")
@@ -280,7 +266,7 @@ def _cmd_bounds(args):
             lower, upper = str(pair.lower), str(pair.upper)  # int->str is quadratic: once
             results = {**extra, "mode": "exact", "lower": lower, "upper": upper}
             return inputs, results, text + [f"lower = {lower}", f"upper = {upper}"]
-    b = bracket(args.precision, args.paper_constants)
+    b = getattr(estimation, bracket)(*values.values(), args.precision, args.paper_constants)
     results = {**extra, "mode": "estimate", "exp_lo": b.exp_lo, "exp_hi": b.exp_hi,
                "digits_lo": b.digits_lo, "digits_hi": b.digits_hi}
     if note:

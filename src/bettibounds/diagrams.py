@@ -216,7 +216,7 @@ def pure_diagram(degrees: Iterable[int]) -> BettiTable:
     )
 
 
-def format_diagram(table: BettiTable, absent: str = ".") -> str:
+def format_diagram(table: BettiTable) -> str:
     """Render a table in Betti-diagram layout.
 
     Rows are indexed by j - i, columns by i; absent entries print as ``.``.
@@ -232,7 +232,7 @@ def format_diagram(table: BettiTable, absent: str = ".") -> str:
         cells = [f"{r}:"]
         for i in cols:
             v = table[i, i + r]
-            cells.append(str(v) if v else absent)
+            cells.append(str(v) if v else ".")
         rows.append(cells)
     widths = [max(len(row[c]) for row in rows) for c in range(len(cols) + 1)]
     return "\n".join(

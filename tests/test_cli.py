@@ -68,6 +68,15 @@ def test_pure_negative_leading_degree(capsys):
     assert "totals: 1  3  2" in out
 
 
+def test_pure_leading_negative_degree_without_separator(capsys):
+    text = run(capsys, "pure", "-3,1,2")
+    assert text[0] == 0 and "totals: 1  5  4" in text[1]
+    assert text == run(capsys, "pure", "--", "-3,1,2")
+    machine = ("--format", "machine")
+    assert run(capsys, "pure", "-3,1,2", *machine) == run(capsys, "pure", *machine, "--", "-3,1,2")
+    assert run(capsys, "pure", "-x")[0] == 1
+
+
 def test_pure_machine_round_trip(capsys):
     report = run_json(capsys, "pure", "0,2,4,5")
     assert report["status"] == "ok"
@@ -164,6 +173,45 @@ EXACT_ARGV = {
     "veronese": ("bounds", "veronese", "-n", "2", "-d", "5", "-i", "7"),
     "variety": ("bounds", "variety", "--dim-l", "5", "--dim-x", "2", "--reg", "1", "-i", "2"),
 }
+
+
+#: Per target: its flags with a value each, and the target's own ``inputs``
+#: of machine output, in order.
+BOUND_INPUTS = {
+    "pure": (("-N", "18", "-r", "2", "-i", "7"), [("N", 18), ("r", 2), ("i", 7)]),
+    "module": (("--codim", "2", "--pdim", "4", "--reg", "1", "--beta0", "7/3", "-i", "2"),
+               [("codim", 2), ("pdim", 4), ("reg", 1), ("beta0", "7/3"), ("i", 2)]),
+    "veronese": (("-n", "2", "-d", "5", "-i", "7"), [("n", 2), ("d", 5), ("i", 7)]),
+    "variety": (("--dim-l", "5", "--dim-x", "2", "--reg", "1", "-i", "2"),
+                [("dim_l", 5), ("dim_x", 2), ("reg", 1), ("i", 2)]),
+}
+
+
+@pytest.mark.parametrize("estimate", [False, True])
+@pytest.mark.parametrize("target", BOUND_INPUTS)
+def test_bounds_inputs(capsys, target, estimate):
+    flags, own_inputs = BOUND_INPUTS[target]
+    argv = ("bounds", target, *flags, *(("--estimate",) if estimate else ()))
+    report = run_json(capsys, *argv)
+    assert report["command"] == f"bounds {target}"
+    assert list(report["inputs"].items()) == [
+        ("precision", 40), ("paper_constants", False), ("max_exact_digits", 1000000),
+        *own_inputs, ("estimate", estimate),
+    ]
+    assert report["results"]["mode"] == ("estimate" if estimate else "exact")
+    if target == "veronese":
+        assert report["results"]["N"] == 18
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == "N = 18"
+
+
+@pytest.mark.parametrize("target", BOUND_INPUTS)
+def test_bounds_help_names_every_flag(capsys, target):
+    code, out, _ = run(capsys, "bounds", target, "--help")
+    assert code == 0
+    flags = BOUND_INPUTS[target][0][::2]
+    assert {*flags, "--estimate", "--max-exact-digits"} <= set(out.split())
 
 
 def test_bounds_pure(capsys):
