@@ -225,18 +225,14 @@ def hypersurface_dim_l(m: int, delta: int, e: int) -> int:
 
     Equals C(e+m, m) - C(e-delta+m, m) - 1, the second term read as 0 when
     e < delta.  Counts a basis of degree-e forms modulo the hypersurface
-    equation, minus one for projectivization.
+    equation, minus one for projectivization.  Never negative: for
+    e >= delta >= 1, C(e+m, m) - C(e-delta+m, m) >= C(e+m-1, m-1) >= 1, and
+    for e < delta the value is C(e+m, m) - 1 >= m.
     """
     if m < 1 or delta < 1 or e < 1:
         raise DomainError(f"hypersurface_dim_l requires m, delta, e >= 1, got ({m}, {delta}, {e})")
-    total = math.comb(e + m, m)
     removed = math.comb(e - delta + m, m) if e >= delta else 0
-    result = total - removed - 1
-    if result < 0:
-        raise DomainError(
-            f"dim |L| would be negative ({result}); the system is not very ample"
-        )
-    return result
+    return math.comb(e + m, m) - removed - 1
 
 
 def check_rising_factorial_bound(n: int, i: int, a: int) -> bool:

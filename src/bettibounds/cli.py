@@ -7,6 +7,8 @@ Commands::
     betti bounds pure|module|veronese|variety ...
     betti dim-l -m 3 --delta 13 -e 1000     dim |O_X(e)| for a hypersurface
 
+``--format`` is on every command; ``--precision``, ``--paper-constants``,
+``--max-exact-digits`` and ``--estimate`` are on the ``bounds`` targets only.
 Every bounds target follows one policy: ``--estimate`` gives the digit
 bracket; otherwise the exact bounds, unless one of their exact factors (a
 binomial or a power) would exceed ``--max-exact-digits``, in which case the
@@ -126,38 +128,42 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``betti`` parser, built once per process on first use.
 
     Every leaf parser sets ``handler`` (its ``_cmd_*`` function) and
-    ``label`` (the ``command`` string of machine output).
+    ``label`` (the ``command`` string of machine output).  A handler returns
+    (inputs, results, text), with text a zero-argument function giving the
+    text lines, so ``--format machine`` never builds them.
     """
     common = _Parser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "machine"), default="text",
         help="output format (default: text)",
     )
-    common.add_argument(
+
+    bound_flags = _Parser(add_help=False)
+    bound_flags.add_argument(
         "--precision", type=_int_in(1, MAX_PRECISION), default=estimation.DEFAULT_PRECISION,
         metavar="DIGITS",
         help=f"working precision for estimates, in significant decimal digits "
              f"(1 to {MAX_PRECISION})",
     )
-    common.add_argument(
+    bound_flags.add_argument(
         "--paper-constants", action="store_true",
         help="use the unshifted textbook integral constants in estimates "
              "(reproduces published intermediates; not sound for small indices)",
     )
-    common.add_argument(
+    bound_flags.add_argument(
         "--max-exact-digits", type=_int_in(1), default=bounds_mod.DEFAULT_DIGIT_BUDGET,
         metavar="DIGITS",
         help="digit budget for each exact binomial and each power in a bound; "
              "past it, bounds fall back to a digit bracket (default: 1000000)",
     )
-
-    estimate = _Parser(add_help=False)
-    estimate.add_argument(
+    bound_flags.add_argument(
         "--estimate", action="store_true",
         help="digit bracket instead of exact rationals",
     )
 
     parser = _Parser(prog="betti", description=__doc__.splitlines()[0])
+    # main widens the int->str limit by the budget on every command
+    parser.set_defaults(max_exact_digits=bounds_mod.DEFAULT_DIGIT_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p_pure = sub.add_parser(
@@ -188,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="binomial bounds on total Betti numbers")
     bsub = p_bounds.add_subparsers(dest="target", required=True, metavar="TARGET")
     for target, (summary, _, _, arguments) in _BOUND_TARGETS.items():
-        b_parser = bsub.add_parser(target, parents=[common, estimate], help=summary)
+        b_parser = bsub.add_parser(target, parents=[common, bound_flags], help=summary)
         for flag, dest, kind, default, text in arguments:
             b_parser.add_argument(flag, dest=dest, type=kind, default=default,
                                   required=default is None, help=text)
@@ -217,14 +223,14 @@ def _cmd_pure(args):
         "pdim": table.pdim,
         "reg": table.reg,
     }
-    text = [format_diagram(table), "", "totals: " + "  ".join(totals)]
-    return inputs, results, text
+    return inputs, results, lambda: [format_diagram(table), "", "totals: " + "  ".join(totals)]
 
 
 def _cmd_decompose(args):
     table = tablefile.load(args.path)
     decomposition = decompose(table)
-    if args.check or args.codim is not None:
+    checked = args.check or args.codim is not None
+    if checked:
         verify_decomposition(table, decomposition, codim=args.codim)
     inputs = {"path": args.path, "check": bool(args.check), "codim": args.codim}
     results = {
@@ -233,11 +239,12 @@ def _cmd_decompose(args):
         ],
         "coefficient_sum": str(decomposition.coefficient_sum()),
     }
-    text = [f"{c}  ({','.join(str(x) for x in d)})" for c, d in decomposition]
-    if args.check or args.codim is not None:
+    if checked:
         results["checked"] = True
-        text.append("check: ok")
-    return inputs, results, text
+    return inputs, results, lambda: [
+        *(f"{c}  ({','.join(str(x) for x in d)})" for c, d in decomposition),
+        *(["check: ok"] if checked else []),
+    ]
 
 
 def _cmd_bounds(args):
@@ -265,7 +272,7 @@ def _cmd_bounds(args):
         else:
             lower, upper = str(pair.lower), str(pair.upper)  # int->str is quadratic: once
             results = {**extra, "mode": "exact", "lower": lower, "upper": upper}
-            return inputs, results, text + [f"lower = {lower}", f"upper = {upper}"]
+            return inputs, results, lambda: text + [f"lower = {lower}", f"upper = {upper}"]
     b = getattr(estimation, bracket)(*values.values(), args.precision, args.paper_constants)
     results = {**extra, "mode": "estimate", "exp_lo": b.exp_lo, "exp_hi": b.exp_hi,
                "digits_lo": b.digits_lo, "digits_hi": b.digits_hi}
@@ -276,15 +283,14 @@ def _cmd_bounds(args):
         f"exp_hi = {b.exp_hi}",
         f"value in [10^{b.exp_lo}, 10^{b.exp_hi}]; digits in [{b.digits_lo}, {b.digits_hi}]",
     ]
-    return inputs, results, text
+    return inputs, results, lambda: text
 
 
 def _cmd_dim_l(args):
     value = bounds_mod.hypersurface_dim_l(args.m, args.delta, args.e)
     inputs = {"m": args.m, "delta": args.delta, "e": args.e}
     results = {"dim_l": value}
-    text = [f"dim |L| = {value}"]
-    return inputs, results, text
+    return inputs, results, lambda: [f"dim |L| = {value}"]
 
 
 def main(argv=None) -> int:
@@ -315,7 +321,7 @@ def main(argv=None) -> int:
             {"command": args.label, "inputs": inputs, "results": results, "status": "ok"}
         ))
     else:
-        print("\n".join(text))
+        print("\n".join(text()))
     return 0
 
 

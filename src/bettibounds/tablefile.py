@@ -15,6 +15,7 @@ structurally equal table.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .diagrams import BettiTable
@@ -26,13 +27,24 @@ _INT = re.compile(r"[+-]?\d+$")
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?$")
 
 
+def _integer(digits: str) -> int:
+    """int(digits), or TableFormatError past the int->str conversion limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise TableFormatError(
+            f"an integer of {len(digits.lstrip('+-'))} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``num`` or ``num/den`` into an exact Fraction."""
     m = _RATIONAL.match(text)
     if not m:
         raise TableFormatError(f"not a rational number: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = _integer(m.group(1))
+    den = _integer(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise TableFormatError(f"zero denominator: {text!r}")
     return Fraction(num, den)
@@ -56,7 +68,7 @@ def loads(text: str) -> BettiTable:
         si, sj, sv = fields
         if not _INT.match(si) or not _INT.match(sj):
             raise TableFormatError(f"line {n}: indices must be integers, got {line!r}")
-        i, j = int(si), int(sj)
+        i, j = _integer(si), _integer(sj)
         if i < 0:
             raise TableFormatError(f"line {n}: homological index must be nonnegative")
         value = parse_rational(sv)

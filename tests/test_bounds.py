@@ -50,6 +50,8 @@ def test_ndigits():
     assert ndigits(10) == 2
     assert ndigits(10**100) == 101
     assert ndigits(10**100 - 1) == 100
+    with pytest.raises(DomainError):
+        ndigits(-1)
 
 
 def test_ndigits_at_powers_of_two_and_ten():
@@ -130,6 +132,8 @@ def test_bound_pair_contains():
     pair = pure_bounds(18, 2, 7)
     assert pair.contains(417690)  # the actual seventh total Betti number
     assert not pair.contains(10310977)
+    with pytest.raises(DomainError):
+        BoundPair(2, 1)
 
 
 def test_extremal_sequences_examples():
@@ -138,6 +142,9 @@ def test_extremal_sequences_examples():
         d_min, d_max = extremal_sequences(n, 0, i, 0)
         assert d_min == d_max == tuple(range(n + 1))
     assert extremal_sequences(3, 2, 2, 1) == ((0, 1, 3, 5), (0, 2, 3, 4))
+    for n, r, i, a in [(0, 1, 1, 0), (4, 1, 2, 2), (4, 1, 0, 0)]:  # n, a, i out of range
+        with pytest.raises(DomainError):
+            extremal_sequences(n, r, i, a)
 
 
 def test_extremal_sequences_are_valid():

@@ -11,6 +11,7 @@ import pytest
 
 import bettibounds
 from bettibounds import BettiTable, pure_diagram, variety_bounds, veronese_bounds
+from bettibounds import cli
 from bettibounds.cli import build_parser, main
 from bettibounds.tablefile import dump
 from conftest import mp_ln, mp_log_comb
@@ -89,6 +90,20 @@ def test_pure_machine_round_trip(capsys):
     assert report["results"]["totals"] == ["1", "10/3", "5", "8/3"]
 
 
+def test_pure_machine_output_builds_no_diagram(capsys, monkeypatch):
+    expected = run(capsys, "pure", "0,2,4,5", "--format", "machine")
+
+    def fail(table):
+        raise AssertionError("format_diagram called under --format machine")
+
+    monkeypatch.setattr(cli, "format_diagram", fail)
+    assert run(capsys, "pure", "0,2,4,5", "--format", "machine") == expected
+    code, out, _ = run(capsys, "pure", "0,10000000000", "--format", "machine")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert (results["totals"], results["pdim"], results["reg"]) == (["1", "1"], 1, 9999999999)
+
+
 # -- decompose --------------------------------------------------------------------
 
 
@@ -162,6 +177,23 @@ def test_decompose_parse_failures(capsys, tmp_path):
     bad.write_text("BT1\n0 0 0\n")
     assert run(capsys, "decompose", str(bad))[0] == 1
     assert run(capsys, "decompose", str(tmp_path / "missing.bt1"))[0] == 1
+
+
+def test_value_past_the_int_limit_is_a_parse_error(capsys, tmp_path):
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("this interpreter has no int->str conversion limit")
+    # main widens the limit to 2 * 10**6 + 4300 digits before it reads the file
+    big = tmp_path / "big.bt1"
+    big.write_text(f"BT1\n0 0 {'7' * 2100000}\n")
+    code, out, err = run(capsys, "decompose", str(big))
+    assert (code, out) == (1, "")
+    assert err.startswith("betti: ") and err.count("\n") == 1 and "7777" not in err
+    # --beta0 is parsed before main widens the limit
+    beta0 = "7" * (sys.get_int_max_str_digits() + 1)
+    argv = ("bounds", "module", "--codim", "2", "--pdim", "4", "--reg", "1", "-i", "2")
+    code, out, err = run(capsys, *argv, "--beta0", beta0)
+    assert (code, out) == (1, "")
+    assert "7777" not in err
 
 
 # -- bounds ---------------------------------------------------------------------
@@ -365,14 +397,18 @@ def test_fallback_note_in_machine_output(capsys):
     assert (results["exp_lo"], results["exp_hi"]) == (1482, 1501)
 
 
-#: A domain error per target (two for pure); the exact bounds and --estimate
-#: check their arguments in the same function.
+#: Domain errors for every target; the exact bounds and --estimate check their
+#: arguments in the same function.
 DOMAIN_ERRORS = [
     ("bounds", "pure", "-N", "0", "-r", "1", "-i", "0"),
     ("bounds", "pure", "-N", "3", "-r", "-1", "-i", "0"),
     ("bounds", "module", "--codim", "3", "--pdim", "2", "--reg", "1", "-i", "1"),
     ("bounds", "veronese", "-n", "2", "-d", "5", "-i", "19"),
     ("bounds", "variety", "--dim-l", "5", "--dim-x", "6", "--reg", "1", "-i", "1"),
+    ("bounds", "variety", "--dim-l", "0", "--dim-x", "0", "--reg", "1", "-i", "0"),
+    ("bounds", "variety", "--dim-l", "5", "--dim-x", "2", "--reg", "1", "-i", "-1"),
+    ("bounds", "module", "--codim", "-1", "--pdim", "2", "--reg", "1", "-i", "1"),
+    ("bounds", "module", "--codim", "1", "--pdim", "2", "--reg", "-1", "-i", "1"),
 ]
 
 
@@ -493,6 +529,22 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "bounds", "nonsense")[0] == 1              # unknown target
     assert run(capsys, "pure")[0] == 1                            # missing argument
     assert run(capsys, "pure", "a,b")[0] == 1                     # unparsable degrees
+    assert run(capsys, *EXACT_ARGV["module"], "--beta0", "x")[0] == 1  # unparsable beta0
+
+
+@pytest.mark.parametrize("argv", [
+    ("pure", "0,2,4,5"),
+    ("decompose", "table.bt1"),
+    ("dim-l", "-m", "3", "--delta", "13", "-e", "1000"),
+])
+def test_bound_flags_only_on_bounds(capsys, argv):
+    for flag in (("--precision", "4"), ("--paper-constants",), ("--max-exact-digits", "1")):
+        code, out, err = run(capsys, *argv, *flag)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err
+    code, out, _ = run(capsys, argv[0], "--help")
+    assert code == 0 and "--format" in out
+    assert not {"--precision", "--paper-constants", "--max-exact-digits"} & set(out.split())
 
 
 def test_build_parser_is_built_once():

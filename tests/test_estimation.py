@@ -225,6 +225,8 @@ def test_log_binomial_errors():
         log_binomial_bracket(5, -1)
     with pytest.raises(DomainError):
         log_binomial_bracket(0, 0)
+    with pytest.raises(DomainError):
+        log_binomial_bracket(10, 3, prec=0)
 
 
 def test_exact_log_binomial():
@@ -234,6 +236,8 @@ def test_exact_log_binomial():
     assert bracket.lo == bracket.hi == 0
     with pytest.raises(DomainError):
         exact_log_binomial(10**5 + 1, 3)
+    with pytest.raises(DomainError):
+        exact_log_binomial(5, 6)
 
 
 # -- precision behaviour --------------------------------------------------------

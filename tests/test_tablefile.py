@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,18 @@ def test_parse_rational():
 def test_rejects_malformed(text):
     with pytest.raises(TableFormatError):
         loads(text)
+
+
+def test_value_past_the_int_limit_is_a_format_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int->str conversion limit")
+    digits = "7" * (limit + 1)
+    for line in (f"0 0 {digits}", f"0 0 1/{digits}", f"0 {digits} 1"):
+        with pytest.raises(TableFormatError) as info:
+            loads(f"BT1\n{line}\n")
+        assert f"{limit + 1} digits" in str(info.value)
+        assert digits[:50] not in str(info.value)
 
 
 def test_load_missing_file(tmp_path):
