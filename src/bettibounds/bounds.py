@@ -13,7 +13,8 @@ and more generally, for a module with invariants (codim, pdim, reg, beta_0),
 Specializations cover Veronese embeddings of projective space (codim = pdim
 = C(n+d, n) - n - 1, reg <= n) and an arbitrary embedded variety in terms of
 dim |L|, dim X and the regularity.  All four have the shape
-beta0 * C(a, i) * b**-reg <= beta_i <= beta0 * C(c, i) * d**reg, a <= c, b <= d.
+beta0 * C(a, i) * b**-reg <= beta_i <= beta0 * C(c, i) * d**reg, a <= c, b <= d,
+a (lower, upper) pair of the terms of :mod:`bettibounds.estimation`.
 
 Everything here is exact rational arithmetic.  Each exact factor of an upper
 bound, its binomial and its power, may have at most ``digit_budget`` decimal
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, TooLarge
-from .estimation import DEFAULT_PRECISION, ln_bracket, log_binomial_bracket
+from .estimation import DEFAULT_PRECISION, _ONE, _Term, _log10_bracket
 from .estimation import _module_shape, _pure_shape, _variety_shape, _veronese_shape
 
 #: Default budget for each exact factor of a bound, in decimal digits.
@@ -78,22 +79,22 @@ def ndigits(x: int) -> int:
     return k + 1
 
 
-def _within_budget(compute, bits: int, log_bracket, scale: int, digit_budget: int, error):
-    """compute() when its value x has at most digit_budget digits, else raise error.
+def _within_budget(factor: _Term, i: int, bits: int, digit_budget: int, error: TooLarge) -> int:
+    """x = C(factor.top, i) * factor.base**factor.power for a factor of a bound
+    (beta0 = 1, power >= 0) with x < 2**bits; raises error unless x has at most
+    digit_budget digits, that is x < 10**digit_budget.
 
-    x < 2**bits settles most cases without a logarithm.  Otherwise
-    scale * log_bracket() encloses ln x, and since x fits iff
-    x < 10**digit_budget, it decides unless it straddles digit_budget * ln 10;
-    only then are the digits of x counted.
+    The bit bound settles most cases.  The others go to the factor's base-10
+    enclosure, at a precision that grows with its top; only when it straddles
+    digit_budget are the digits of x counted.  The decision is always exact.
     """
     if bits * 30103 // 10**5 < digit_budget:  # 0.30103 > log10(2)
-        return compute()
-    bracket, ln10 = log_bracket(), ln_bracket(10)
-    if scale * Fraction(bracket.lo) >= digit_budget * Fraction(ln10.hi):
+        return math.comb(factor.top, i) * factor.base**factor.power
+    lo, hi = _log10_bracket(factor, factor, i, DEFAULT_PRECISION + factor.top.bit_length() // 3)
+    if lo >= digit_budget:
         raise error
-    value = compute()
-    straddles = scale * Fraction(bracket.hi) >= digit_budget * Fraction(ln10.lo)
-    if straddles and ndigits(value) > digit_budget:
+    value = math.comb(factor.top, i) * factor.base**factor.power
+    if hi >= digit_budget and ndigits(value) > digit_budget:
         raise error
     return value
 
@@ -103,39 +104,33 @@ def ensure_binomial_budget(n: int, k: int, digit_budget: int) -> int:
     than digit_budget decimal digits.
 
     C(n, k) < 2**min(n, k * n.bit_length()) decides most cases at once; the
-    others go to a sound log bracket, whose precision grows with the size of
-    n so that its rounding error stays far below one digit.  The decision is
-    always exact.
+    others go to a sound log bracket.  The decision is always exact.
     """
     j = min(k, n - k)
     if j <= 0:
         return 1 if j == 0 else 0
-    prec = DEFAULT_PRECISION + n.bit_length() // 3
-    return _within_budget(lambda: math.comb(n, j), min(n, j * n.bit_length()),
-                          lambda: log_binomial_bracket(n, j, prec), 1,
+    return _within_budget(_Term(_ONE, n, 1, 0), j, min(n, j * n.bit_length()),
                           digit_budget, TooLarge(n, k, digit_budget))
 
 
-def _bound_pair(lower_top: int, lower_base: int, upper_top: int, upper_base: int,
-                reg: int, beta0: Fraction, i: int, digit_budget: int) -> BoundPair:
-    """beta0 * C(lower_top, i) * lower_base**-reg and
-    beta0 * C(upper_top, i) * upper_base**reg, exactly.
+def _bound_pair(terms: tuple[_Term, _Term], i: int, digit_budget: int) -> BoundPair:
+    """The exact values at column i of the (lower, upper) terms of a
+    ``_<target>_shape`` function of :mod:`bettibounds.estimation`.
 
-    Takes a shape from a ``_<target>_shape`` function of
-    :mod:`bettibounds.estimation` and its column index; a base of 0 reads
-    base**reg as 1.  The budget guards the upper bound's binomial and power;
-    the lower bound's are never larger, since lower_top <= upper_top and
-    lower_base <= upper_base.
+    The budget guards the upper term's binomial and power; the lower term's
+    are never larger, since lower.top <= upper.top and lower.base <= upper.base.
     """
-    upper_binomial = ensure_binomial_budget(upper_top, i, digit_budget)
-    if upper_binomial == 0:  # then C(lower_top, i) = 0 as well
+    lower, upper = terms
+    upper_binomial = ensure_binomial_budget(upper.top, i, digit_budget)
+    if upper_binomial == 0:  # then C(lower.top, i) = 0 as well
         return BoundPair(Fraction(0), Fraction(0))
-    upper_power = 1 if upper_base < 2 else _within_budget(
-        lambda: upper_base**reg, reg * upper_base.bit_length(), lambda: ln_bracket(upper_base),
-        reg, digit_budget, TooLarge(upper_base, reg, digit_budget, power=True))
-    lower_binomial = upper_binomial if lower_top == upper_top else binomial(lower_top, i)
-    lower_power = upper_power if lower_base == upper_base else lower_base**reg if lower_base else 1
-    return BoundPair(beta0 * lower_binomial / lower_power, beta0 * upper_binomial * upper_power)
+    upper_power = _within_budget(
+        _Term(_ONE, 0, upper.base, upper.power), 0, upper.power * upper.base.bit_length(),
+        digit_budget, TooLarge(upper.base, upper.power, digit_budget, power=True))
+    lower_binomial = upper_binomial if lower.top == upper.top else binomial(lower.top, i)
+    lower_power = upper_power if lower.base == upper.base else lower.base**-lower.power
+    return BoundPair(lower.beta0 * lower_binomial / lower_power,
+                     upper.beta0 * upper_binomial * upper_power)
 
 
 def pure_bounds(n: int, r: int, i: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> BoundPair:
@@ -145,7 +140,7 @@ def pure_bounds(n: int, r: int, i: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
     at most n + r.  Exact rationals; i above n yields (0, 0).  Raises
     TooLarge when C(n, i) or n**r would exceed the digit budget.
     """
-    return _bound_pair(*_pure_shape(n, r, i), i, digit_budget)
+    return _bound_pair(_pure_shape(n, r, i), i, digit_budget)
 
 
 def extremal_sequences(
@@ -188,7 +183,7 @@ def algebraic_bounds(
     pdim**reg as 1.  Indices above pdim yield (0, 0).  Raises TooLarge when
     C(pdim, i) or pdim**reg would exceed the digit budget.
     """
-    return _bound_pair(*_module_shape(codim, pdim, reg, beta0, i), i, digit_budget)
+    return _bound_pair(_module_shape(codim, pdim, reg, beta0, i), i, digit_budget)
 
 
 def veronese_bounds(
@@ -202,7 +197,7 @@ def veronese_bounds(
     DomainError when i lies outside [0, N].  The degenerate embedding
     (n = d = 1, N = 0) follows the free-module conventions.
     """
-    return _bound_pair(*_veronese_shape(n, d, i), i, digit_budget)
+    return _bound_pair(_veronese_shape(n, d, i), i, digit_budget)
 
 
 def variety_bounds(
@@ -217,7 +212,7 @@ def variety_bounds(
     the variety and reg the regularity of its coordinate ring.  Raises
     TooLarge when C(dim_l, i) or dim_l**reg would exceed the digit budget.
     """
-    return _bound_pair(*_variety_shape(dim_l, dim_x, reg, i), i, digit_budget)
+    return _bound_pair(_variety_shape(dim_l, dim_x, reg, i), i, digit_budget)
 
 
 def hypersurface_dim_l(m: int, delta: int, e: int) -> int:

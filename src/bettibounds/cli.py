@@ -23,6 +23,9 @@ range, a fallback whose lower bound is zero, failed --check).
 (command/inputs/results/status); rationals are rendered as exact ``num/den``
 strings and digit brackets as integer exponents, with the fallback note as
 ``results["note"]``.
+
+``main`` widens the interpreter's int->str digit limit only while it runs and
+then restores the caller's value.
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     parser = _Parser(prog="betti", description=__doc__.splitlines()[0])
-    # main widens the int->str limit by the budget on every command
+    # main widens the int->str limit by the budget while any command runs
     parser.set_defaults(max_exact_digits=bounds_mod.DEFAULT_DIGIT_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -260,7 +263,10 @@ def _cmd_bounds(args):
         **{dest: str(v) if isinstance(v, Fraction) else v for dest, v in values.items()},
         "estimate": args.estimate,
     }
-    text = [f"{k} = {v}" for k, v in extra.items()]
+
+    def text(*lines):
+        return lambda: [*(f"{k} = {v}" for k, v in extra.items()), *lines]
+
     note = None
     if not args.estimate:
         try:
@@ -268,22 +274,21 @@ def _cmd_bounds(args):
         except TooLarge as exc:
             note = (f"{exc.factor} exceeds the digit budget of {exc.digit_budget} digits; "
                     "estimated instead")
-            text.append(note)
         else:
             lower, upper = str(pair.lower), str(pair.upper)  # int->str is quadratic: once
             results = {**extra, "mode": "exact", "lower": lower, "upper": upper}
-            return inputs, results, lambda: text + [f"lower = {lower}", f"upper = {upper}"]
+            return inputs, results, text(f"lower = {lower}", f"upper = {upper}")
     b = getattr(estimation, bracket)(*values.values(), args.precision, args.paper_constants)
     results = {**extra, "mode": "estimate", "exp_lo": b.exp_lo, "exp_hi": b.exp_hi,
                "digits_lo": b.digits_lo, "digits_hi": b.digits_hi}
     if note:
         results["note"] = note
-    text += [
+    return inputs, results, text(
+        *([note] if note else []),
         f"exp_lo = {b.exp_lo}",
         f"exp_hi = {b.exp_hi}",
         f"value in [10^{b.exp_lo}, 10^{b.exp_hi}]; digits in [{b.digits_lo}, {b.digits_hi}]",
-    ]
-    return inputs, results, lambda: text
+    )
 
 
 def _cmd_dim_l(args):
@@ -302,11 +307,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(
-            max(sys.get_int_max_str_digits(), 2 * args.max_exact_digits + 4300)
-        )
-
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(max(limit, 2 * args.max_exact_digits + 4300))
     try:
         inputs, results, text = args.handler(args)
     except TableFormatError as exc:
@@ -315,14 +318,17 @@ def main(argv=None) -> int:
     except BettiError as exc:
         print(f"betti: {exc}", file=sys.stderr)
         return 2
-
-    if args.format == "machine":
-        print(json.dumps(
-            {"command": args.label, "inputs": inputs, "results": results, "status": "ok"}
-        ))
     else:
-        print("\n".join(text()))
-    return 0
+        if args.format == "machine":
+            print(json.dumps(
+                {"command": args.label, "inputs": inputs, "results": results, "status": "ok"}
+            ))
+        else:
+            print("\n".join(text()))
+        return 0
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def console_main() -> None:

@@ -29,16 +29,17 @@ evaluates in a single directed pass.  Soundness rests on two mechanisms:
   correctly rounded but ignores the context rounding mode, so every
   logarithm is widened by two units in the last place before use.
 
-A digit bracket puts -reg ln(base) (+reg in the upper endpoint) and
-ln(beta0) into the same sum and divides it by ln 10.  Precision is always an
-explicit argument; nothing here mutates global decimal state, and all
-functions are pure.
+A bound is a (lower, upper) pair of terms beta0 * C(top, i) * base**power,
+with base >= 1 (the paper's base 0 reads 0**reg = 1) and power -reg, +reg.
+A digit bracket divides a lower endpoint of ln(lower) and an upper one of
+ln(upper) by ln 10.  Precision is always an explicit argument; nothing here
+mutates global decimal state, and all functions are pure.
 
 Each ``_<target>_shape`` function checks the arguments of one bound target
-and returns (lower_top, lower_base, upper_top, upper_base, reg, beta0), the
-shape of the bounds in :mod:`bettibounds.bounds`.  That module imports them,
-so its exact bounds and these digit brackets accept the same inputs; it
-imports this module, never the reverse.
+and returns its (lower, upper) pair of terms.  :mod:`bettibounds.bounds`
+evaluates the same terms exactly and decides its digit budget from their
+base-10 enclosure, so its exact bounds and these digit brackets accept the
+same inputs; it imports this module, never the reverse.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -56,6 +58,7 @@ DEFAULT_PRECISION = 40
 
 _GUARD_DIGITS = 10
 _ZERO = Decimal(0)
+_ONE = Fraction(1)
 
 #: Largest n for which exact_log_binomial will compute C(n, i) exactly.
 _EXACT_BINOMIAL_LIMIT = 10**5
@@ -117,11 +120,26 @@ class VeroneseParams:
     codim: int
 
 
+@lru_cache(maxsize=1)  # a bounds command needs N up to three times
 def veronese_codim(n: int, d: int) -> VeroneseParams:
     """Codimension C(n+d, n) - n - 1 of the degree-d Veronese of n-space."""
     if n < 1 or d < 1:
         raise DomainError(f"veronese_codim requires n, d >= 1, got ({n}, {d})")
     return VeroneseParams(n=n, d=d, codim=math.comb(n + d, n) - n - 1)
+
+
+class _Term(NamedTuple):
+    """beta0 * C(top, i) * base**power at a column i, with base >= 1."""
+
+    beta0: Fraction
+    top: int
+    base: int
+    power: int
+
+
+def _term(beta0: Fraction, top: int, base: int, power: int) -> _Term:
+    """The paper's term; its base 0 stands for 0**reg = 1, so it becomes 1."""
+    return _Term(beta0, top, base or 1, power)
 
 
 def _pure_shape(n: int, r: int, i: int):
@@ -132,7 +150,7 @@ def _pure_shape(n: int, r: int, i: int):
         raise DomainError(f"row slack must be nonnegative, got {r}")
     if i < 0:
         raise DomainError(f"column index must be nonnegative, got {i}")
-    return n, n, n, n, r, Fraction(1)
+    return _term(_ONE, n, n, -r), _term(_ONE, n, n, r)
 
 
 def _module_shape(codim: int, pdim: int, reg: int, beta0, i: int):
@@ -148,7 +166,7 @@ def _module_shape(codim: int, pdim: int, reg: int, beta0, i: int):
         raise DomainError(f"beta0 must be positive, got {beta0}")
     if i < 0:
         raise DomainError(f"column index must be nonnegative, got {i}")
-    return codim, codim, pdim, pdim, reg, beta0
+    return _term(beta0, codim, codim, -reg), _term(beta0, pdim, pdim, reg)
 
 
 def _veronese_shape(n: int, d: int, i: int):
@@ -156,7 +174,7 @@ def _veronese_shape(n: int, d: int, i: int):
     big_n = veronese_codim(n, d).codim
     if not 0 <= i <= big_n:
         raise DomainError(f"column index must lie in [0, {big_n}], got {i}")
-    return big_n, big_n, big_n, big_n, n, Fraction(1)
+    return _term(_ONE, big_n, big_n, -n), _term(_ONE, big_n, big_n, n)
 
 
 def _variety_shape(dim_l: int, dim_x: int, reg: int, i: int):
@@ -169,7 +187,7 @@ def _variety_shape(dim_l: int, dim_x: int, reg: int, i: int):
         raise DomainError(f"regularity must be nonnegative, got {reg}")
     if i < 0:
         raise DomainError(f"column index must be nonnegative, got {i}")
-    return dim_l - dim_x, dim_l, dim_l, dim_l, reg, Fraction(1)
+    return _term(_ONE, dim_l - dim_x, dim_l, -reg), _term(_ONE, dim_l, dim_l, reg)
 
 
 def _contexts(prec: int) -> tuple[Context, Context]:
@@ -214,6 +232,8 @@ def _log_sum(terms, constant: int, prec: int, up: bool) -> Decimal:
     context = _contexts(prec)[up]
     acc = Decimal(constant)
     for coef, val in terms:
+        if val == 1:  # adds exactly 0; skipped so that a sum of none is +0, not -0
+            continue
         lo, hi = _ln_enclosure(val, prec)
         acc = context.add(acc, context.multiply(Decimal(coef), hi if (coef < 0) != up else lo))
     return acc
@@ -232,28 +252,16 @@ def log_factorial_bracket(c: int, prec: int = DEFAULT_PRECISION) -> LogBracket:
                       _log_sum([(c + 1, c + 1)], -c, prec, True))
 
 
-def log_factorial_ratio_bracket(a: int, b: int, prec: int = DEFAULT_PRECISION) -> LogBracket:
-    """Enclosure of ln(a!/b!) for a >= b >= 1.
-
-    [a ln a - a - b ln b + b, (a+1) ln(a+1) - (b+1) ln(b+1) + b - a].
-    """
-    if b < 1 or a < b:
-        raise DomainError(f"need a >= b >= 1, got ({a}, {b})")
-    if a == b:
-        return LogBracket(_ZERO, _ZERO)
-    return LogBracket(_log_sum([(a, a), (-b, b)], b - a, prec, False),
-                      _log_sum([(a + 1, a + 1), (-(b + 1), b + 1)], b - a, prec, True))
-
-
-def _log_binomial_terms(n: int, i: int, up: bool, paper_constants: bool):
-    """(terms, constant) of the lower (upper if up) endpoint of ln C(n, i)
-    in the module docstring; none for C(n, 0) = C(n, n) = 1."""
-    if i == 0 or i == n:
-        return [], 0
-    shift = 1 if paper_constants else 0
-    if up:
-        return [(n + 1, n + 1), (i - n - 1, n - i + 1), (-i, i)], shift - 1
-    return [(n, n), (i - n, n - i), (-i - 1, i + 1)], shift
+def _log_term(term: _Term, i: int, prec: int, up: bool, paper_constants: bool) -> Decimal:
+    """A lower bound (an upper bound if up) of ln(term) at column i <= term.top,
+    with C(top, i) from the integral bounds, or 1 at the end columns."""
+    n, terms, constant = term.top, [], 0
+    if 0 < i < n:
+        constant = (1 if paper_constants else 0) - up
+        terms = ([(n + 1, n + 1), (i - n - 1, n - i + 1), (-i, i)] if up
+                 else [(n, n), (i - n, n - i), (-i - 1, i + 1)])
+    terms += [(term.power, term.base), (1, term.beta0.numerator), (-1, term.beta0.denominator)]
+    return _log_sum(terms, constant, prec, up)
 
 
 def log_binomial_bracket(
@@ -275,8 +283,8 @@ def log_binomial_bracket(
         raise DomainError(f"need n >= 1, got {n}")
     if not 0 <= i <= n:
         raise DomainError(f"column index must lie in [0, {n}], got {i}")
-    return LogBracket(*(_log_sum(*_log_binomial_terms(n, i, up, paper_constants), prec, up)
-                        for up in (False, True)))
+    term = _Term(_ONE, n, 1, 0)
+    return LogBracket(*(_log_term(term, i, prec, up, paper_constants) for up in (False, True)))
 
 
 def exact_log_binomial(n: int, i: int, prec: int = DEFAULT_PRECISION) -> LogBracket:
@@ -291,35 +299,27 @@ def exact_log_binomial(n: int, i: int, prec: int = DEFAULT_PRECISION) -> LogBrac
     return ln_bracket(math.comb(n, i), prec)
 
 
-def _digit_exponents(lo_nat: Decimal, hi_nat: Decimal, prec: int) -> DigitBracket:
-    """Convert a natural-log enclosure to floor/ceil base-10 exponents."""
+def _log10_bracket(lower: _Term, upper: _Term, i: int, prec: int, paper_constants=False):
+    """Decimals (lo, hi) with 10**lo <= lower and upper <= 10**hi at column i."""
     down, up = _contexts(prec)
     ln10_lo, ln10_hi = _ln_enclosure(10, prec)
-    lo10 = down.divide(lo_nat, ln10_hi if lo_nat >= 0 else ln10_lo)
-    hi10 = up.divide(hi_nat, ln10_lo if hi_nat >= 0 else ln10_hi)
-    exp_lo = int(lo10.to_integral_value(rounding=ROUND_FLOOR))
-    exp_hi = int(hi10.to_integral_value(rounding=ROUND_CEILING))
-    return DigitBracket(exp_lo, exp_hi)
+    lo_nat = _log_term(lower, i, prec, False, paper_constants)
+    hi_nat = _log_term(upper, i, prec, True, paper_constants)
+    return (down.divide(lo_nat, ln10_hi if lo_nat >= 0 else ln10_lo),
+            up.divide(hi_nat, ln10_lo if hi_nat >= 0 else ln10_hi))
 
 
-def _digit_bracket(lower_top: int, lower_base: int, upper_top: int, upper_base: int,
-                   reg: int, beta0: Fraction, i: int, prec: int,
-                   paper_constants: bool) -> DigitBracket:
-    """Certifies 10**exp_lo <= beta0 * C(lower_top, i) * lower_base**-reg and
-    beta0 * C(upper_top, i) * upper_base**reg <= 10**exp_hi.
-
-    Takes a shape from a ``_<target>_shape`` function and its column index.
-    Requires i <= lower_top: otherwise the lower bound is zero and has no
-    digit count.
+def _digit_bracket(terms, i: int, prec: int, paper_constants: bool) -> DigitBracket:
+    """Certifies 10**exp_lo <= lower and upper <= 10**exp_hi at column i, for
+    the (lower, upper) terms of a ``_<target>_shape`` function.  Requires
+    i <= lower.top: otherwise the lower bound is zero and has no digit count.
     """
-    if i > lower_top:
-        raise DomainError(f"column index {i} exceeds {lower_top}; the lower bound is zero")
-    beta0_terms = [(1, beta0.numerator), (-1, beta0.denominator)]
-    lo_terms, lo_constant = _log_binomial_terms(lower_top, i, False, paper_constants)
-    hi_terms, hi_constant = _log_binomial_terms(upper_top, i, True, paper_constants)
-    lo_nat = _log_sum(lo_terms + [(-reg, lower_base or 1)] + beta0_terms, lo_constant, prec, False)
-    hi_nat = _log_sum(hi_terms + [(reg, upper_base or 1)] + beta0_terms, hi_constant, prec, True)
-    return _digit_exponents(lo_nat, hi_nat, prec)
+    lower, upper = terms
+    if i > lower.top:
+        raise DomainError(f"column index {i} exceeds {lower.top}; the lower bound is zero")
+    lo10, hi10 = _log10_bracket(lower, upper, i, prec, paper_constants)
+    return DigitBracket(int(lo10.to_integral_value(rounding=ROUND_FLOOR)),
+                        int(hi10.to_integral_value(rounding=ROUND_CEILING)))
 
 
 def pure_digit_bracket(
@@ -331,7 +331,7 @@ def pure_digit_bracket(
     Requires i <= n (otherwise the lower bound is zero and has no digit
     count).
     """
-    return _digit_bracket(*_pure_shape(n, r, i), i, prec, paper_constants)
+    return _digit_bracket(_pure_shape(n, r, i), i, prec, paper_constants)
 
 
 def algebraic_digit_bracket(
@@ -344,7 +344,7 @@ def algebraic_digit_bracket(
     bounds beta0 * C(pdim, i) * pdim**reg from above.  Requires i <= codim
     (otherwise the lower bound is zero and has no digit count).
     """
-    return _digit_bracket(*_module_shape(codim, pdim, reg, beta0, i), i, prec, paper_constants)
+    return _digit_bracket(_module_shape(codim, pdim, reg, beta0, i), i, prec, paper_constants)
 
 
 def veronese_digit_bracket(
@@ -359,7 +359,7 @@ def veronese_digit_bracket(
     Certifies 10**exp_lo <= C(N,i)*N**-n and C(N,i)*N**n <= 10**exp_hi,
     with N the Veronese codimension; requires 0 <= i <= N.
     """
-    return _digit_bracket(*_veronese_shape(n, d, i), i, prec, paper_constants)
+    return _digit_bracket(_veronese_shape(n, d, i), i, prec, paper_constants)
 
 
 def variety_digit_bracket(
@@ -376,4 +376,4 @@ def variety_digit_bracket(
     bounds C(dim_l, i) * dim_l**reg from above.  Requires i <= dim_l - dim_x
     (otherwise the lower bound is zero and has no digit count).
     """
-    return _digit_bracket(*_variety_shape(dim_l, dim_x, reg, i), i, prec, paper_constants)
+    return _digit_bracket(_variety_shape(dim_l, dim_x, reg, i), i, prec, paper_constants)

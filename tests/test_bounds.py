@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 from fractions import Fraction
 
@@ -93,6 +94,40 @@ def test_power_factor_is_budgeted():
         algebraic_bounds(2, 4, 3 * 10**6, 1, 2)
     # a zero binomial makes the bounds (0, 0) whatever the power
     assert pure_bounds(10, 2 * 10**6, 11) == BoundPair(Fraction(0), Fraction(0))
+
+
+def _digit_count(x: int) -> int:
+    """Decimal digits of x >= 1, by bisection on powers of ten."""
+    lo, hi = 1, 1
+    while 10**hi <= x:
+        hi *= 2
+    while lo < hi:  # the least k with x < 10**k lies in [lo, hi]
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if x < 10**mid else (mid + 1, hi)
+    return lo
+
+
+@pytest.mark.parametrize("n, r, i, factor", [
+    (400, 0, 200, "C(400, 200)"),
+    (10**6, 0, 10, "C(1000000, 10)"),
+    (60000, 0, 1000, "C(60000, 1000)"),
+    # encloses as 10**12036.46 to 10**12041.07: each budget in that band counts digits
+    (40000, 0, 20000, "C(40000, 20000)"),
+    (10, 6, 0, "10**6"),
+    (7, 40, 0, "7**40"),
+    (1023, 1, 0, "1023**1"),
+])
+def test_budget_decision_across_the_band_where_digits_are_counted(n, r, i, factor):
+    binomial_value, power = math.comb(n, i), n**r
+    digits = _digit_count(binomial_value * power)  # one of the two factors is 1
+    for budget in range(max(1, digits - 8), digits + 9):
+        if digits <= budget:
+            assert pure_bounds(n, r, i, budget) == BoundPair(
+                Fraction(binomial_value, power), Fraction(binomial_value * power))
+        else:
+            with pytest.raises(TooLarge) as exc_info:
+                pure_bounds(n, r, i, budget)
+            assert exc_info.value.factor == factor
 
 
 def test_too_large_pickles():

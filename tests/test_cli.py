@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import bettibounds
 from bettibounds import BettiTable, pure_diagram, variety_bounds, veronese_bounds
-from bettibounds import cli
+from bettibounds import cli, estimation
 from bettibounds.cli import build_parser, main
 from bettibounds.tablefile import dump
 from conftest import mp_ln, mp_log_comb
@@ -271,6 +272,47 @@ def test_bounds_veronese_exact(capsys):
     assert "N = 18" in out
     assert "lower = 884/9" in out
     assert "upper = 10310976" in out
+
+
+VERONESE_PATHS = [(), ("--estimate",), ("--max-exact-digits", "1")]  # exact, estimate, fallback
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("flags", VERONESE_PATHS)
+def test_bounds_veronese_computes_n_once(capsys, monkeypatch, flags, fmt):
+    # N = C(n+d, n) - n - 1 has 180,000 digits at n = d = 300,000: one command builds it once
+    calls, comb = [], math.comb
+
+    def counting_comb(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counting_comb)
+    estimation.veronese_codim.cache_clear()
+    argv = ("bounds", "veronese", "-n", "2", "-d", "5", "-i", "7", *flags, "--format", fmt)
+    assert run(capsys, *argv)[0] == 0
+    assert calls.count((7, 2)) == 1
+
+
+def test_machine_output_never_formats_the_n_line(capsys, monkeypatch):
+    formatted = []
+
+    class Codim(int):  # records each formatting of N done by the CLI module
+        def __format__(self, spec):
+            if sys._getframe(1).f_globals.get("__name__") == cli.__name__:
+                formatted.append(spec)
+            return int.__format__(self, spec)
+
+    real = estimation.veronese_codim
+    monkeypatch.setattr(estimation, "veronese_codim", lambda n, d: estimation.VeroneseParams(
+        n, d, Codim(real(n, d).codim)))
+    for flags in VERONESE_PATHS:
+        report = run_json(capsys, "bounds", "veronese", "-n", "2", "-d", "5", "-i", "7", *flags)
+        assert report["results"]["N"] == 18
+    assert formatted == []
+    assert run(capsys, "bounds", "veronese", "-n", "2", "-d", "5", "-i", "7")[1].startswith(
+        "N = 18\n")
+    assert formatted == [""]
 
 
 def test_bounds_veronese_estimate(capsys):
@@ -545,6 +587,23 @@ def test_bound_flags_only_on_bounds(capsys, argv):
     code, out, _ = run(capsys, argv[0], "--help")
     assert code == 0 and "--format" in out
     assert not {"--precision", "--paper-constants", "--max-exact-digits"} & set(out.split())
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int->str limit")
+def test_main_leaves_the_int_str_limit_as_it_found_it(capsys):
+    # a 5,001-digit -N is past the default limit of 4,300 digits, so parsing rejects it
+    too_long = ("bounds", "pure", "-N", "1" + "0" * 5000, "-r", "0", "-i", "1", "--estimate")
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        for argv, code in [(too_long, 1), (("pure", "0,2"), 0), (too_long, 1)]:
+            assert run(capsys, *argv)[0] == code
+            assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        assert run(capsys, "pure", "0,2")[0] == 0
+        assert sys.get_int_max_str_digits() == 0
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_build_parser_is_built_once():

@@ -17,7 +17,6 @@ from bettibounds import (
     ln_bracket,
     log_binomial_bracket,
     log_factorial_bracket,
-    log_factorial_ratio_bracket,
     pure_bounds,
     pure_digit_bracket,
     variety_bounds,
@@ -139,35 +138,6 @@ def test_log_factorial_errors():
         log_factorial_bracket(-1)
 
 
-# -- factorial ratios ------------------------------------------------------------
-
-
-def test_ratio_trivial():
-    bracket = log_factorial_ratio_bracket(7, 7)
-    assert bracket.lo == bracket.hi == 0
-
-
-def test_ratio_small():
-    bracket = log_factorial_ratio_bracket(4, 2)
-    # endpoints 4 ln 4 - 2 ln 2 - 2 and 5 ln 5 - 3 ln 3 - 2
-    assert abs(float(bracket.lo) - 2.1588830833) < 1e-9
-    assert abs(float(bracket.hi) - 2.7513526962) < 1e-9
-    assert bracket.contains(mp_ln(12))
-
-
-def test_ratio_contains_exact_on_grid():
-    for a, b in [(100, 50), (10, 1), (50, 49), (1000, 37), (12, 6)]:
-        exact = math.factorial(a) // math.factorial(b)
-        assert log_factorial_ratio_bracket(a, b).contains(mp_ln(exact))
-
-
-def test_ratio_errors():
-    with pytest.raises(DomainError):
-        log_factorial_ratio_bracket(2, 3)
-    with pytest.raises(DomainError):
-        log_factorial_ratio_bracket(2, 0)
-
-
 # -- binomial brackets -------------------------------------------------------------
 
 
@@ -247,7 +217,6 @@ def test_monotone_precision():
     cases = [
         lambda p: ln_bracket(123456789, p),
         lambda p: log_factorial_bracket(1000, p),
-        lambda p: log_factorial_ratio_bracket(10**6, 10**3, p),
         lambda p: log_binomial_bracket(10**4, 3000, p),
     ]
     for make in cases:
