@@ -7,12 +7,10 @@ from .bounds import (
     DEFAULT_DIGIT_BUDGET,
     BoundPair,
     algebraic_bounds,
-    binomial,
     check_descending_factorial_bound,
     check_rising_factorial_bound,
     extremal_sequences,
     hypersurface_dim_l,
-    ndigits,
     pure_bounds,
     variety_bounds,
     veronese_bounds,
@@ -73,7 +71,6 @@ __all__ = [
     "VeroneseParams",
     "algebraic_bounds",
     "algebraic_digit_bracket",
-    "binomial",
     "check_descending_factorial_bound",
     "check_rising_factorial_bound",
     "decompose",
@@ -88,7 +85,6 @@ __all__ = [
     "ln_bracket",
     "log_binomial_bracket",
     "log_factorial_bracket",
-    "ndigits",
     "peel",
     "pure_bounds",
     "pure_diagram",

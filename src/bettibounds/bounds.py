@@ -54,63 +54,39 @@ class BoundPair:
         return self.lower <= Fraction(value) <= self.upper
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k); 0 when k < 0 or k > n.  Requires n >= 0."""
-    if n < 0:
-        raise DomainError(f"binomial requires n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+def _within_budget(factor: _Term, i: int, digit_budget: int) -> int:
+    """x = C(factor.top, i) * factor.base**factor.power for a factor of a bound:
+    a binomial (base 1, power 0) or a power (top 0, i = 0), with beta0 = 1.
+    Raises TooLarge naming the factor unless x has at most digit_budget
+    digits, that is x < 10**digit_budget.
 
-
-def ndigits(x: int) -> int:
-    """Number of decimal digits of a nonnegative integer (1 for 0)."""
-    if x < 0:
-        raise DomainError("ndigits expects a nonnegative integer")
-    if x == 0:
-        return 1
-    # 2**(b-1) <= x < 2**b and 0.30102999566 < log10(2) < 0.30103 give
-    # k <= floor(log10 x) <= top with top - k <= 1 below 40 million digits,
-    # so at most one power of ten settles the count.
-    b = x.bit_length()
-    k, top = (b - 1) * 30102999566 // 10**11, b * 30103 // 10**5
-    while k < top and x >= 10 ** (k + 1):
-        k += 1
-    return k + 1
-
-
-def _within_budget(factor: _Term, i: int, bits: int, digit_budget: int, error: TooLarge) -> int:
-    """x = C(factor.top, i) * factor.base**factor.power for a factor of a bound
-    (beta0 = 1, power >= 0) with x < 2**bits; raises error unless x has at most
-    digit_budget digits, that is x < 10**digit_budget.
-
-    The bit bound settles most cases.  The others go to the factor's base-10
-    enclosure, at a precision that grows with its top; only when it straddles
-    digit_budget are the digits of x counted.  The decision is always exact.
+    The bit bound x < 2**bits settles most cases.  The others go to the
+    factor's base-10 enclosure, at a precision that grows with its top; only
+    when it straddles digit_budget is x computed and compared with
+    10**digit_budget.  The decision is always exact.
     """
+    top, base, power = factor.top, factor.base, factor.power
+    j = min(i, top - i)
+    bits = min(top, j * top.bit_length()) + power * base.bit_length()
     if bits * 30103 // 10**5 < digit_budget:  # 0.30103 > log10(2)
-        return math.comb(factor.top, i) * factor.base**factor.power
-    lo, hi = _log10_bracket(factor, factor, i, DEFAULT_PRECISION + factor.top.bit_length() // 3)
-    if lo >= digit_budget:
-        raise error
-    value = math.comb(factor.top, i) * factor.base**factor.power
-    if hi >= digit_budget and ndigits(value) > digit_budget:
-        raise error
-    return value
+        return math.comb(top, j) * base**power
+    lo, hi = _log10_bracket(factor, factor, j, DEFAULT_PRECISION + top.bit_length() // 3)
+    if lo < digit_budget:
+        value = math.comb(top, j) * base**power
+        if hi < digit_budget or value < 10**digit_budget:
+            return value
+    if top:
+        raise TooLarge(top, i, digit_budget)
+    raise TooLarge(base, power, digit_budget, power=True)
 
 
 def ensure_binomial_budget(n: int, k: int, digit_budget: int) -> int:
     """Exact C(n, k) (0 when k < 0 or k > n), or TooLarge when it has more
-    than digit_budget decimal digits.
-
-    C(n, k) < 2**min(n, k * n.bit_length()) decides most cases at once; the
-    others go to a sound log bracket.  The decision is always exact.
+    than digit_budget decimal digits.  The decision is always exact.
     """
-    j = min(k, n - k)
-    if j <= 0:
-        return 1 if j == 0 else 0
-    return _within_budget(_Term(_ONE, n, 1, 0), j, min(n, j * n.bit_length()),
-                          digit_budget, TooLarge(n, k, digit_budget))
+    if not 0 < k < n:
+        return int(0 <= k <= n)
+    return _within_budget(_Term(_ONE, n, 1, 0), k, digit_budget)
 
 
 def _bound_pair(terms: tuple[_Term, _Term], i: int, digit_budget: int) -> BoundPair:
@@ -124,10 +100,8 @@ def _bound_pair(terms: tuple[_Term, _Term], i: int, digit_budget: int) -> BoundP
     upper_binomial = ensure_binomial_budget(upper.top, i, digit_budget)
     if upper_binomial == 0:  # then C(lower.top, i) = 0 as well
         return BoundPair(Fraction(0), Fraction(0))
-    upper_power = _within_budget(
-        _Term(_ONE, 0, upper.base, upper.power), 0, upper.power * upper.base.bit_length(),
-        digit_budget, TooLarge(upper.base, upper.power, digit_budget, power=True))
-    lower_binomial = upper_binomial if lower.top == upper.top else binomial(lower.top, i)
+    upper_power = _within_budget(_Term(_ONE, 0, upper.base, upper.power), 0, digit_budget)
+    lower_binomial = upper_binomial if lower.top == upper.top else math.comb(lower.top, i)
     lower_power = upper_power if lower.base == upper.base else lower.base**-lower.power
     return BoundPair(lower.beta0 * lower_binomial / lower_power,
                      upper.beta0 * upper_binomial * upper_power)

@@ -308,8 +308,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit:
-        sys.set_int_max_str_digits(max(limit, 2 * args.max_exact_digits + 4300))
+    if limit:  # the limit is a C int, so a huge budget widens it only to 2**31 - 1
+        sys.set_int_max_str_digits(min(max(limit, 2 * args.max_exact_digits + 4300), 2**31 - 1))
     try:
         inputs, results, text = args.handler(args)
     except TableFormatError as exc:

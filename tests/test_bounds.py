@@ -10,12 +10,10 @@ from bettibounds import (
     DomainError,
     TooLarge,
     algebraic_bounds,
-    binomial,
     check_descending_factorial_bound,
     check_rising_factorial_bound,
     extremal_sequences,
     hypersurface_dim_l,
-    ndigits,
     pure_bounds,
     pure_diagram,
     variety_bounds,
@@ -29,48 +27,15 @@ from conftest import enumerate_pure_sequences, pascal_binomial
 # -- binomials ----------------------------------------------------------------
 
 
-def test_binomial_against_pascal_oracle():
-    for n in range(26):
-        for k in range(-2, n + 3):
-            assert binomial(n, k) == pascal_binomial(n, k)
-
-
-def test_binomial_examples():
-    assert binomial(18, 7) == 31824
-    assert binomial(5, 0) == 1
-    assert binomial(102, 2) == 5151
-    assert binomial(4, -1) == 0
-    assert binomial(4, 5) == 0
-    with pytest.raises(DomainError):
-        binomial(-1, 0)
-
-
-def test_ndigits():
-    assert ndigits(0) == 1
-    assert ndigits(9) == 1
-    assert ndigits(10) == 2
-    assert ndigits(10**100) == 101
-    assert ndigits(10**100 - 1) == 100
-    with pytest.raises(DomainError):
-        ndigits(-1)
-
-
-def test_ndigits_at_powers_of_two_and_ten():
-    # the count starts from bit_length(), so probe both kinds of boundary
-    for k in range(1, 700):
-        for x in (10**k - 1, 10**k, 10**k + 1, 2**k - 1, 2**k, 2**k + 1):
-            assert ndigits(x) == len(str(x)), x
-
-
 def test_binomial_budget_returns_the_binomial():
-    assert ensure_binomial_budget(400, 200, 120) == binomial(400, 200)
+    assert ensure_binomial_budget(400, 200, 120) == math.comb(400, 200)
     assert ensure_binomial_budget(400, 399, 3) == 400
     # C(1023, 1) < 2**10 < 10**4: the bit test alone cannot admit it at 3 digits
     assert ensure_binomial_budget(999, 1, 3) == 999
     with pytest.raises(TooLarge):
         ensure_binomial_budget(1023, 1, 3)
     # 2**200 reaches 55 digits; the log bracket of C(10**6, 10), below 10**53.91, does not
-    assert ensure_binomial_budget(10**6, 10, 55) == binomial(10**6, 10)
+    assert ensure_binomial_budget(10**6, 10, 55) == math.comb(10**6, 10)
     assert ensure_binomial_budget(0, 0, 1) == 1
     assert ensure_binomial_budget(5, 7, 1) == 0
     assert ensure_binomial_budget(5, -1, 1) == 0
@@ -94,6 +59,40 @@ def test_power_factor_is_budgeted():
         algebraic_bounds(2, 4, 3 * 10**6, 1, 2)
     # a zero binomial makes the bounds (0, 0) whatever the power
     assert pure_bounds(10, 2 * 10**6, 11) == BoundPair(Fraction(0), Fraction(0))
+
+
+def test_too_large_is_built_only_when_raised(monkeypatch):
+    # building one renders the digits of its factor, which costs as much as N is long
+    built = []
+    init = TooLarge.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TooLarge, "__init__", counting_init)
+    pure_bounds(18, 2, 7)
+    variety_bounds(400, 2, 1, 200)
+    veronese_bounds(2, 5, 7)
+    assert built == []
+    with pytest.raises(TooLarge) as exc_info:
+        pure_bounds(10, 6, 0, digit_budget=6)
+    assert len(built) == 1
+    assert exc_info.value.factor == "10**6"
+
+
+@pytest.mark.parametrize("call, args, factor", [
+    (ensure_binomial_budget, (18, 11, 1), "C(18, 11)"),  # settled by the enclosure
+    (pure_bounds, (18, 0, 11, 1), "C(18, 11)"),
+    (pure_bounds, (18, 0, 11, 4), "C(18, 11)"),  # straddled: 31824 >= 10**4
+    (ensure_binomial_budget, (400, 250, 50), "C(400, 250)"),
+    (ensure_binomial_budget, (400, 250, 113), "C(400, 250)"),  # straddled: 114 digits
+])
+def test_binomial_past_the_budget_is_named_with_the_callers_column(call, args, factor):
+    # the decision runs at min(k, n - k); the error names the k that was passed
+    with pytest.raises(TooLarge) as exc_info:
+        call(*args)
+    assert exc_info.value.factor == factor
 
 
 def _digit_count(x: int) -> int:
@@ -310,8 +309,8 @@ def test_variety_bounds_examples():
 
 def test_digit_budget_boundary_is_exact():
     # C(400, 200) has 120 digits: the guard must settle boundary cases exactly
-    value = binomial(400, 200)
-    assert ndigits(value) == 120
+    value = math.comb(400, 200)
+    assert len(str(value)) == 120
     assert variety_bounds(400, 0, 0, 200, digit_budget=120).upper == value
     with pytest.raises(TooLarge):
         variety_bounds(400, 0, 0, 200, digit_budget=119)

@@ -606,6 +606,17 @@ def test_main_leaves_the_int_str_limit_as_it_found_it(capsys):
         sys.set_int_max_str_digits(saved)
 
 
+@pytest.mark.parametrize("budget", ["1073739674", str(10**20)])
+def test_huge_budget_gives_the_answer_of_the_default_budget(capsys, budget):
+    # 2 * budget + 4300 is at least 2**31, past what sys.set_int_max_str_digits accepts
+    argv = ("bounds", "pure", "-N", "5", "-r", "1", "-i", "2")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    assert run(capsys, *argv, "--max-exact-digits", budget) == expected
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
 def test_build_parser_is_built_once():
     assert build_parser() is build_parser()
 
