@@ -15,13 +15,7 @@ from .bounds import (
     variety_bounds,
     veronese_bounds,
 )
-from .decompose import (
-    Decomposition,
-    decompose,
-    leading_degree_sequence,
-    peel,
-    verify_decomposition,
-)
+from .decompose import Decomposition, decompose, verify_decomposition
 from .diagrams import (
     BettiTable,
     deg_seq_leq,
@@ -44,7 +38,6 @@ from .estimation import (
     VeroneseParams,
     algebraic_digit_bracket,
     exact_log_binomial,
-    ln_bracket,
     log_binomial_bracket,
     log_factorial_bracket,
     pure_digit_bracket,
@@ -81,11 +74,8 @@ __all__ = [
     "extremal_sequences",
     "format_diagram",
     "hypersurface_dim_l",
-    "leading_degree_sequence",
-    "ln_bracket",
     "log_binomial_bracket",
     "log_factorial_bracket",
-    "peel",
     "pure_bounds",
     "pure_diagram",
     "pure_digit_bracket",

@@ -24,8 +24,9 @@ range, a fallback whose lower bound is zero, failed --check).
 strings and digit brackets as integer exponents, with the fallback note as
 ``results["note"]``.
 
-``main`` widens the interpreter's int->str digit limit only while it runs and
-then restores the caller's value.
+``main`` parses argv and reads a BT1 file under the caller's int->str digit
+limit, widens the limit only while the command runs (exact outputs may have
+millions of digits) and then restores the caller's value.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def _cmd_pure(args):
 
 
 def _cmd_decompose(args):
-    table = tablefile.load(args.path)
+    table = args.table
     decomposition = decompose(table)
     checked = args.check or args.codim is not None
     if checked:
@@ -308,9 +309,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit:  # the limit is a C int, so a huge budget widens it only to 2**31 - 1
-        sys.set_int_max_str_digits(min(max(limit, 2 * args.max_exact_digits + 4300), 2**31 - 1))
     try:
+        if args.command == "decompose":  # input is read under the caller's limit
+            args.table = tablefile.load(args.path)
+        if limit:  # the limit is a C int, so a huge budget widens it only to 2**31 - 1
+            sys.set_int_max_str_digits(
+                min(max(limit, 2 * args.max_exact_digits + 4300), 2**31 - 1))
         inputs, results, text = args.handler(args)
     except TableFormatError as exc:
         print(f"betti: {exc}", file=sys.stderr)

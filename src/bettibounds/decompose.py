@@ -63,12 +63,8 @@ class Decomposition:
     def __len__(self):
         return len(self.terms)
 
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(c for c, _ in self.terms)
-
     def coefficient_sum(self) -> Fraction:
-        return sum(self.coefficients, Fraction(0))
+        return sum((c for c, _ in self.terms), Fraction(0))
 
     def reconstruct(self) -> BettiTable:
         """Exact sum of the scaled pure diagrams, added into one accumulator.
@@ -127,13 +123,11 @@ def _minima(columns: _Columns) -> tuple[int, ...]:
 def _peel_columns(columns: _Columns, d: tuple[int, ...]) -> Fraction:
     """Subtract the largest c * pure_diagram(d) that keeps columns >= 0, in place.
 
-    Only the t + 1 positions (i, d_i) change; entries and columns that reach
-    zero are deleted.  Returns c.
+    d is the leading degree sequence of ``columns`` (from ``_minima``), so
+    every position (i, d_i) holds an entry.  Only those t + 1 positions
+    change; entries and columns that reach zero are deleted.  Returns c.
     """
-    values = [columns.get(i, {}).get(di) for i, di in enumerate(d)]
-    if None in values:
-        i = values.index(None)
-        raise DomainError(f"table has no entry at ({i}, {d[i]}); cannot peel type {d}")
+    values = [columns[i][di] for i, di in enumerate(d)]
     betas = _hk_values(d)
     # c = min over i of (vn / vd) / (bn / bd), compared by cross-multiplication
     ratios = [(vn * bd, vd * bn) for (vn, vd), (bn, bd) in zip(values, betas)]
@@ -158,40 +152,14 @@ def _peel_columns(columns: _Columns, d: tuple[int, ...]) -> Fraction:
     return Fraction(cn, cd)
 
 
-def leading_degree_sequence(table: BettiTable) -> tuple[int, ...]:
-    """Minimal degree of each column 0..pdim, as a degree sequence.
-
-    Raises NotInBSCone, with reason "gap column" if some column below pdim is
-    empty or "minima not increasing" if the minima are not strictly
-    increasing.  Either failure certifies that the table is not a positive
-    chain combination of pure diagrams.
-    """
-    if not table:
-        raise DomainError("cannot take the leading degree sequence of an empty table")
-    return _minima(_columns(table))
-
-
-def peel(table: BettiTable, d: tuple[int, ...]) -> tuple[Fraction, BettiTable]:
-    """One greedy step: the largest c with table - c * pure_diagram(d) >= 0.
-
-    Requires table[i, d_i] to be present for every i (guaranteed when d is
-    the leading degree sequence).  Returns (c, remainder); at least one
-    position (i, d_i) vanishes in the remainder.
-    """
-    columns = _columns(table)
-    c = _peel_columns(columns, degree_sequence(d))
-    remainder = {
-        (i, j): Fraction(n, m) for i, column in columns.items() for j, (n, m) in column.items()
-    }
-    return c, BettiTable._trusted(remainder)
-
-
 def decompose(table: BettiTable) -> Decomposition:
     """Decompose a table into its unique chain of pure diagrams.
 
-    Raises NotInBSCone when no such decomposition exists.  The sum of the
-    coefficients equals the total Betti number of column 0, since each pure
-    diagram is normalized to beta_0 = 1.  The input table is not changed.
+    Runs every greedy step on one private copy; ``Decomposition.reconstruct``
+    is the inverse.  Raises NotInBSCone when no such decomposition exists,
+    and DomainError for the empty table.  The sum of the coefficients equals
+    the total Betti number of column 0, since each pure diagram is
+    normalized to beta_0 = 1.  The input table is not changed.
     """
     if not table:
         raise DomainError("cannot decompose an empty table")

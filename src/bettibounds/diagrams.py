@@ -58,9 +58,9 @@ def deg_seq_lt(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 class BettiTable:
     """Immutable finite table of positive rationals indexed by (i, j).
 
-    ``table[i, j]`` returns the entry, or 0 if absent.  Arithmetic
-    (``scale``, ``subtract``) returns new tables; instances are safe to share
-    across threads.
+    ``table[i, j]`` returns the entry, or 0 if absent.  A table never
+    changes after it is built, so instances are safe to share across
+    threads.
     """
 
     __slots__ = ("_entries",)
@@ -114,10 +114,6 @@ class BettiTable:
         """Entries as a list of ((i, j), value), sorted by (i, j)."""
         return sorted(self._entries.items())
 
-    def column(self, i: int) -> dict[int, Fraction]:
-        """The nonzero entries {j: value} of column i."""
-        return {j: v for (ii, j), v in self._entries.items() if ii == i}
-
     @property
     def pdim(self) -> int:
         """Projective dimension: the largest column index with an entry."""
@@ -132,41 +128,9 @@ class BettiTable:
             raise DomainError("reg is undefined for the empty table")
         return max(j - i for i, j in self._entries)
 
-    # -- arithmetic --------------------------------------------------------
-
     def total(self, i: int) -> Fraction:
         """Total Betti number of column i: sum_j table[i, j] (0 if empty)."""
         return sum((v for (ii, _), v in self._entries.items() if ii == i), Fraction(0))
-
-    def scale(self, c) -> "BettiTable":
-        """Multiply every entry by the positive rational c."""
-        c = Fraction(c)
-        if c <= 0:
-            raise DomainError(f"scale factor must be positive, got {c}")
-        return BettiTable({k: v * c for k, v in self._entries.items()})
-
-    def subtract(self, other: "BettiTable") -> "BettiTable":
-        """Entrywise difference self - other, with exact zeros dropped.
-
-        Raises DomainError if any resulting entry would be negative.
-        """
-        result = dict(self._entries)
-        for key, value in other._entries.items():
-            diff = result.get(key, Fraction(0)) - value
-            if diff < 0:
-                raise DomainError(f"entry at {key} would become negative ({diff})")
-            if diff == 0:
-                result.pop(key, None)
-            else:
-                result[key] = diff
-        return BettiTable(result)
-
-    def add(self, other: "BettiTable") -> "BettiTable":
-        """Entrywise sum."""
-        result = dict(self._entries)
-        for key, value in other._entries.items():
-            result[key] = result.get(key, Fraction(0)) + value
-        return BettiTable(result)
 
     # -- comparison & display ----------------------------------------------
 

@@ -217,16 +217,6 @@ def _ln_enclosure(m: int, prec: int) -> tuple[Decimal, Decimal]:
     return (pad.subtract(value, 2 * ulp), pad.add(value, 2 * ulp))
 
 
-def ln_bracket(m: int, prec: int = DEFAULT_PRECISION) -> LogBracket:
-    """Tight enclosure of ln(m) for a positive integer m."""
-    if m < 1:
-        raise DomainError(f"ln_bracket requires a positive integer, got {m}")
-    if prec < 1:
-        raise DomainError(f"precision must be a positive integer, got {prec}")
-    lo, hi = _ln_enclosure(int(m), prec)
-    return LogBracket(lo, hi)
-
-
 def _log_sum(terms, constant: int, prec: int, up: bool) -> Decimal:
     """A lower bound (an upper bound if up) of constant + sum(coef * ln(val))."""
     context = _contexts(prec)[up]
@@ -296,7 +286,9 @@ def exact_log_binomial(n: int, i: int, prec: int = DEFAULT_PRECISION) -> LogBrac
         raise DomainError(f"exact_log_binomial is limited to n <= {_EXACT_BINOMIAL_LIMIT}")
     if n < 0 or not 0 <= i <= n:
         raise DomainError(f"column index must lie in [0, {n}], got {i}")
-    return ln_bracket(math.comb(n, i), prec)
+    if prec < 1:
+        raise DomainError(f"precision must be a positive integer, got {prec}")
+    return LogBracket(*_ln_enclosure(math.comb(n, i), prec))
 
 
 def _log10_bracket(lower: _Term, upper: _Term, i: int, prec: int, paper_constants=False):

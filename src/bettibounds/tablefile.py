@@ -7,7 +7,8 @@ Grammar::
     i j v
 
 with i a nonnegative integer, j an integer, and v a positive rational
-written as an integer or ``num/den``.  Duplicate (i, j) pairs are rejected.
+written as an integer or ``num/den``; integers are ASCII digits with an
+optional sign.  A file is read as UTF-8.  Duplicate (i, j) pairs are rejected.
 The format is bit-exact: writing a table and re-reading it yields a
 structurally equal table.
 """
@@ -23,8 +24,8 @@ from .errors import TableFormatError
 
 HEADER = "BT1"
 
-_INT = re.compile(r"[+-]?\d+$")
-_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?$")
+_INT = re.compile(r"[+-]?[0-9]+$")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
 def _integer(digits: str) -> int:
@@ -93,12 +94,6 @@ def load(path) -> BettiTable:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TableFormatError(f"cannot read {path}: {exc}") from exc
     return loads(text)
-
-
-def dump(table: BettiTable, path) -> None:
-    """Write a BettiTable to disk as BT1."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(table))

@@ -14,14 +14,14 @@ import bettibounds
 from bettibounds import BettiTable, pure_diagram, variety_bounds, veronese_bounds
 from bettibounds import cli, estimation
 from bettibounds.cli import build_parser, main
-from bettibounds.tablefile import dump
+from bettibounds.tablefile import dumps
 from conftest import mp_ln, mp_log_comb
 
 
 @pytest.fixture
 def worked_file(tmp_path, quotient_table):
     path = tmp_path / "worked.bt1"
-    dump(quotient_table, path)
+    path.write_text(dumps(quotient_table), encoding="utf-8")
     return str(path)
 
 
@@ -122,7 +122,7 @@ def test_decompose_text(capsys, worked_file):
 
 def test_decompose_single_diagram(capsys, tmp_path):
     path = tmp_path / "pure.bt1"
-    dump(pure_diagram((0, 1, 2)), path)
+    path.write_text(dumps(pure_diagram((0, 1, 2))), encoding="utf-8")
     code, out, _ = run(capsys, "decompose", str(path))
     assert code == 0
     assert out.strip() == "1  (0,1,2)"
@@ -175,15 +175,17 @@ def test_decompose_not_in_cone_message(capsys, tmp_path, text, detail):
 
 def test_decompose_parse_failures(capsys, tmp_path):
     bad = tmp_path / "bad.bt1"
-    bad.write_text("BT1\n0 0 0\n")
-    assert run(capsys, "decompose", str(bad))[0] == 1
+    for text in ("BT1\n0 0 0\n", "BT1\n0 0 \u0663\n", "BT1\n1 \uff12 7\n"):
+        bad.write_text(text, encoding="utf-8")
+        assert run(capsys, "decompose", str(bad))[0] == 1
     assert run(capsys, "decompose", str(tmp_path / "missing.bt1"))[0] == 1
 
 
 def test_value_past_the_int_limit_is_a_parse_error(capsys, tmp_path):
     if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
         pytest.skip("this interpreter has no int->str conversion limit")
-    # main widens the limit to 2 * 10**6 + 4300 digits before it reads the file
+    # main reads the file under the caller's limit, before it widens the limit
+    # to 2 * 10**6 + 4300 digits for the output
     big = tmp_path / "big.bt1"
     big.write_text(f"BT1\n0 0 {'7' * 2100000}\n")
     code, out, err = run(capsys, "decompose", str(big))
@@ -195,6 +197,26 @@ def test_value_past_the_int_limit_is_a_parse_error(capsys, tmp_path):
     code, out, err = run(capsys, *argv, "--beta0", beta0)
     assert (code, out) == (1, "")
     assert "7777" not in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int->str limit")
+def test_entry_one_digit_past_the_callers_limit_is_a_parse_error(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "long.bt1"
+    path.write_text(f"BT1\n0 0 {'7' * (limit + 1)}\n")
+    code, out, err = run(capsys, "decompose", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("betti: ") and err.count("\n") == 1
+    assert f"{limit + 1} digits" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_decompose_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.bt1"
+    path.write_bytes(b"BT1\n0 0 \xff\xfe\n")
+    code, out, err = run(capsys, "decompose", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"betti: cannot read {path}: ") and err.count("\n") == 1
 
 
 # -- bounds ---------------------------------------------------------------------
@@ -572,6 +594,7 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "pure")[0] == 1                            # missing argument
     assert run(capsys, "pure", "a,b")[0] == 1                     # unparsable degrees
     assert run(capsys, *EXACT_ARGV["module"], "--beta0", "x")[0] == 1  # unparsable beta0
+    assert run(capsys, *EXACT_ARGV["module"], "--beta0", "\u0663/\uff17")[0] == 1  # non-ASCII
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,51 +12,57 @@ from bettibounds import (
     NotInBSCone,
     decompose,
     deg_seq_lt,
-    leading_degree_sequence,
-    peel,
     pure_diagram,
     verify_decomposition,
 )
 from conftest import MONOMIAL_QUOTIENT_TERMS, random_decomposition_terms
 
 
+def _column(table, i):
+    """The entries {j: value} of column i."""
+    return {j: v for (ii, j), v in table.items() if ii == i}
+
+
+def _remainders(terms):
+    """The tables left after each peel of a chain decomposition: the first
+    is the whole table and the last the empty one."""
+    return [Decomposition(terms[k:]).reconstruct() for k in range(len(terms) + 1)]
+
+
 def test_leading_degree_sequence(quotient_table):
-    assert leading_degree_sequence(quotient_table) == (0, 2, 4, 5)
-    assert leading_degree_sequence(pure_diagram((0, 3, 5))) == (0, 3, 5)
+    # the first type of the chain is the minimal degree of each column
+    assert decompose(quotient_table).terms[0][1] == (0, 2, 4, 5)
+    assert decompose(pure_diagram((0, 3, 5))).terms[0][1] == (0, 3, 5)
     with pytest.raises(NotInBSCone) as gap:
-        leading_degree_sequence(BettiTable({(0, 0): 1, (2, 2): 1}))
+        decompose(BettiTable({(0, 0): 1, (2, 2): 1}))
     assert gap.value.reason == "gap column"
     with pytest.raises(NotInBSCone) as unordered:
-        leading_degree_sequence(BettiTable({(0, 5): 1, (1, 2): 1}))
+        decompose(BettiTable({(0, 5): 1, (1, 2): 1}))
     assert unordered.value.reason == "minima not increasing"
     with pytest.raises(DomainError):
-        leading_degree_sequence(BettiTable())
+        decompose(BettiTable())
 
 
 def test_peel_first_step(quotient_table):
-    c, remainder = peel(quotient_table, (0, 2, 4, 5))
-    assert c == Fraction(3, 10)
-    assert (1, 2) not in remainder
+    terms = decompose(quotient_table).terms
+    assert terms[0] == (Fraction(3, 10), (0, 2, 4, 5))
+    remainder = _remainders(terms)[1]
+    assert (1, 2) not in remainder  # 1 - 3/10 * 10/3 vanishes exactly
+    assert remainder[1, 3] == 4
     assert all(v > 0 for _, v in remainder.items())
 
 
 def test_peel_pure_multiple():
-    table = pure_diagram((0, 2, 4, 5)).scale(2)
-    c, remainder = peel(table, (0, 2, 4, 5))
-    assert c == 2
-    assert remainder == BettiTable()
+    table = BettiTable({key: 2 * v for key, v in pure_diagram((0, 2, 4, 5)).items()})
+    assert decompose(table).terms == ((Fraction(2), (0, 2, 4, 5)),)
 
 
 def test_peel_two_term_sum():
-    table = pure_diagram((0, 1, 2)).add(pure_diagram((0, 1, 3)))
-    c, remainder = peel(table, (0, 1, 2))
-    assert c == 1
-    assert remainder == pure_diagram((0, 1, 3))
-
-
-def test_peel_missing_entry():
-    with pytest.raises(DomainError):
-        peel(pure_diagram((0, 1)), (0, 1, 2))
+    table = Decomposition(((Fraction(1), (0, 1, 2)), (Fraction(1), (0, 1, 3)))).reconstruct()
+    assert table == BettiTable(
+        {(0, 0): 2, (1, 1): Fraction(7, 2), (2, 2): 1, (2, 3): Fraction(1, 2)}
+    )
+    assert decompose(table).terms == ((Fraction(1), (0, 1, 2)), (Fraction(1), (0, 1, 3)))
 
 
 def test_decompose_worked_example(quotient_table):
@@ -71,7 +77,7 @@ def test_decompose_pure_diagram_is_fixed_point():
 
 
 def test_decompose_negative_degrees():
-    table = pure_diagram((-2, 0, 1)).scale(2)
+    table = BettiTable({key: 2 * v for key, v in pure_diagram((-2, 0, 1)).items()})
     assert decompose(table).terms == ((Fraction(2), (-2, 0, 1)),)
 
 
@@ -89,9 +95,9 @@ def test_coefficient_mass(quotient_table):
     decomposition = decompose(quotient_table)
     assert decomposition.coefficient_sum() == quotient_table.total(0)
 
-    mixed = pure_diagram((0, 1, 3)).scale(Fraction(5, 7)).add(
-        pure_diagram((1, 2, 4)).scale(Fraction(2, 3))
-    )
+    mixed = Decomposition(
+        ((Fraction(5, 7), (0, 1, 3)), (Fraction(2, 3), (1, 2, 4)))
+    ).reconstruct()
     # mixed generator degrees: two entries in column 0
     assert decompose(mixed).coefficient_sum() == mixed.total(0)
 
@@ -103,17 +109,15 @@ def test_termination_bound(quotient_table):
 
 def test_peel_progress(quotient_table):
     # Every peel shrinks the support or raises some column minimum.
-    remainder = quotient_table
-    while remainder:
-        d = leading_degree_sequence(remainder)
-        _, nxt = peel(remainder, d)
+    remainders = _remainders(decompose(quotient_table).terms)
+    assert remainders[0] == quotient_table and remainders[-1] == BettiTable()
+    for remainder, nxt in zip(remainders, remainders[1:]):
         if nxt:
             progressed = len(nxt) < len(remainder) or any(
-                min(nxt.column(i), default=10**9) > min(remainder.column(i))
+                min(_column(nxt, i), default=10**9) > min(_column(remainder, i))
                 for i in range(min(remainder.pdim, nxt.pdim) + 1)
             )
             assert progressed
-        remainder = nxt
 
 
 chain_type_strategy = st.integers(0, 10**6).map(
@@ -174,13 +178,12 @@ OUTSIDE_CONE = [
 
 @pytest.mark.parametrize("table, reason, detail", OUTSIDE_CONE)
 def test_not_in_cone_reason(table, reason, detail):
-    for call in (decompose, leading_degree_sequence):
-        with pytest.raises(NotInBSCone) as failure:
-            call(table)
-        assert failure.value.reason == reason
-        assert str(failure.value) == f"table is not in the cone of pure diagrams: {detail}"
-        copy = pickle.loads(pickle.dumps(failure.value))
-        assert (copy.reason, str(copy)) == (reason, str(failure.value))
+    with pytest.raises(NotInBSCone) as failure:
+        decompose(table)
+    assert failure.value.reason == reason
+    assert str(failure.value) == f"table is not in the cone of pure diagrams: {detail}"
+    copy = pickle.loads(pickle.dumps(failure.value))
+    assert (copy.reason, str(copy)) == (reason, str(failure.value))
 
 
 small_tables = st.dictionaries(
@@ -230,10 +233,10 @@ class _OracleFailure(Exception):
         self.message = f"table is not in the cone of pure diagrams: {detail}"
 
 
-def _old_leading_degree_sequence(table):
+def _old_leading_degree_sequence(entries):
     minima = []
-    for i in range(table.pdim + 1):
-        col = table.column(i)
+    for i in range(max(i for i, _ in entries) + 1):
+        col = [j for ii, j in entries if ii == i]
         if not col:
             raise _OracleFailure(
                 "gap column", f"column {i} is empty but lies below the projective dimension"
@@ -248,24 +251,33 @@ def _old_leading_degree_sequence(table):
     return tuple(minima)
 
 
-def _old_peel(table, d):
-    diagram = BettiTable({(i, di): v for i, (di, v) in enumerate(zip(d, _hk(d)))})
-    c = min(table[i, di] / diagram[i, di] for i, di in enumerate(d))
-    try:
-        return c, table.subtract(diagram.scale(c))
-    except DomainError as exc:
-        raise _OracleFailure("negative entry", exc) from exc
+def _old_peel(entries, d):
+    """(c, a new dict of entries minus c * pure_diagram(d)), with every entry
+    checked for a negative value and exact zeros dropped."""
+    diagram = {(i, di): v for i, (di, v) in enumerate(zip(d, _hk(d)))}
+    c = min(entries[key] / v for key, v in diagram.items())
+    remainder = dict(entries)
+    for key, v in diagram.items():
+        diff = remainder[key] - c * v
+        if diff < 0:
+            raise _OracleFailure("negative entry", f"entry at {key} would become {diff}")
+        if diff:
+            remainder[key] = diff
+        else:
+            del remainder[key]
+    return c, remainder
 
 
 def _oracle_decompose(table):
     """The peel as it was before remainders were mutated in place: a whole new
-    table per step, minima found by scanning columns, and every check the old
-    loop made.  Returns the terms, or the (reason, message) that decompose's
-    NotInBSCone must carry; the reasons "negative entry" and "chain violation"
-    mark failures that decompose can never report."""
+    dict of Fraction entries per step, minima found by scanning columns, and
+    every check the old loop made.  Returns the terms, or the (reason,
+    message) that decompose's NotInBSCone must carry; the reasons "negative
+    entry" and "chain violation" mark failures that decompose can never
+    report."""
     budget = len(table)
     terms = []
-    remainder = table
+    remainder = dict(table.items())
     try:
         while remainder:
             if len(terms) > budget:
@@ -335,7 +347,7 @@ def _perturbations(rng, terms, table):
     key = rng.choice(sorted(entries))
     yield BettiTable({**entries, key: entries[key] * rng.choice((Fraction(1, 2), 2))})
     i = rng.randrange(table.pdim + 1)
-    column = table.column(i)
+    column = _column(table, i)
     j = rng.randint(min(column) - 1, max(column) + 1)
     yield BettiTable({**entries, (i, j): entries.get((i, j), 0) + 1})
     yield BettiTable({k: v for k, v in entries.items() if k != key})
@@ -390,13 +402,8 @@ def _all_fractions(values):
 def test_public_results_are_fractions(seed, support, pdim):
     _, table = _chain_terms_and_table(random.Random(seed), support, pdim)
     decomposition = decompose(table)
-    assert _all_fractions(decomposition.coefficients)
+    assert _all_fractions(c for c, _ in decomposition)
     assert _all_fractions(v for _, v in decomposition.reconstruct().items())
-    d = leading_degree_sequence(table)
-    c, remainder = peel(table, d)
-    assert type(c) is Fraction
-    assert _all_fractions(v for _, v in remainder.items())
-    assert remainder == table.subtract(pure_diagram(d).scale(c))
 
 
 PURE_VALUES = [
@@ -428,7 +435,7 @@ def test_decompose_is_homogeneous(seed, support, pdim, shift):
     terms = tuple((c, tuple(x + shift for x in d)) for c, d in terms)
     table = _table_of(terms)
     for q in (Fraction(7, 3), Fraction(10**30, 7), Fraction(1, 2**61 - 1)):
-        scaled = table.scale(q)
+        scaled = BettiTable({key: v * q for key, v in table.items()})
         decomposition = decompose(scaled)
         assert decomposition.terms == tuple((c * q, d) for c, d in terms)
         verify_decomposition(scaled, decomposition)

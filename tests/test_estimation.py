@@ -14,7 +14,6 @@ from bettibounds import (
     algebraic_bounds,
     algebraic_digit_bracket,
     exact_log_binomial,
-    ln_bracket,
     log_binomial_bracket,
     log_factorial_bracket,
     pure_bounds,
@@ -31,6 +30,11 @@ from conftest import mp_ln
 
 def _width(bracket: LogBracket) -> Decimal:
     return bracket.hi - bracket.lo
+
+
+def _ln(m: int, prec: int) -> LogBracket:
+    """The enclosure of ln(m) that every log bracket is summed from."""
+    return LogBracket(*_ln_enclosure(m, prec))
 
 
 def oracle_digit_logs(n_low, n_high, base, reg, i, paper=False):
@@ -65,12 +69,12 @@ def oracle_digit_exponents(n_low, n_high, base, reg, i, paper=False):
 
 
 def test_ln_bracket_trivial():
-    bracket = ln_bracket(1, 40)
+    bracket = _ln(1, 40)
     assert bracket.lo == bracket.hi == 0
 
 
 def test_ln_bracket_known_constant():
-    bracket = ln_bracket(10, 40)
+    bracket = _ln(10, 40)
     # the reference must be finer than the bracket (width ~ 1e-49 here)
     assert bracket.contains(mp_ln(10, dps=75))
     assert str(bracket.lo).startswith("2.30258509299404568401799145468436420760")
@@ -78,7 +82,7 @@ def test_ln_bracket_known_constant():
 
 
 def test_ln_bracket_large_value():
-    bracket = ln_bracket(500001499998, 40)
+    bracket = _ln(500001499998, 40)
     assert bracket.contains(mp_ln(500001499998))
     # value is 26.93787693536010291979860108495879324...
     assert Decimal("26.9378") < bracket.lo < bracket.hi < Decimal("26.9379")
@@ -88,18 +92,20 @@ def test_ln_bracket_large_value():
 @pytest.mark.parametrize("m", [2, 3, 7, 97, 10**6, 10**12 + 7])
 @pytest.mark.parametrize("prec", [10, 40])
 def test_ln_bracket_width_contract(m, prec):
-    bracket = ln_bracket(m, prec)
+    bracket = _ln(m, prec)
     assert bracket.contains(mp_ln(m))
     assert _width(bracket) <= Decimal(10) ** (1 - prec) * bracket.hi
 
 
 def test_ln_bracket_errors():
+    # exact_log_binomial is the public way to one enclosure of a logarithm
     with pytest.raises(DomainError):
-        ln_bracket(0)
+        exact_log_binomial(-3, 0)
     with pytest.raises(DomainError):
-        ln_bracket(-3)
+        exact_log_binomial(10, -1)
     with pytest.raises(DomainError):
-        ln_bracket(10, 0)
+        exact_log_binomial(10, 1, 0)
+    assert exact_log_binomial(10, 1, 40) == _ln(10, 40)
 
 
 def test_log_sum_takes_the_outer_end_of_each_logarithm():
@@ -215,7 +221,7 @@ def test_exact_log_binomial():
 
 def test_monotone_precision():
     cases = [
-        lambda p: ln_bracket(123456789, p),
+        lambda p: _ln(123456789, p),
         lambda p: log_factorial_bracket(1000, p),
         lambda p: log_binomial_bracket(10**4, 3000, p),
     ]

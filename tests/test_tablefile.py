@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bettibounds import BettiTable, TableFormatError, pure_diagram
-from bettibounds.tablefile import dump, dumps, load, loads, parse_rational
+from bettibounds.tablefile import dumps, load, loads, parse_rational
 from test_decompose import DIFFERENTIAL_CASES, _chain_terms_and_table
 
 
@@ -55,7 +55,7 @@ def test_round_trip_differential_chains(seed, support, pdim):
 
 def test_file_round_trip(tmp_path, quotient_table):
     path = tmp_path / "table.bt1"
-    dump(quotient_table, path)
+    path.write_text(dumps(quotient_table), encoding="utf-8")
     assert load(path) == quotient_table
 
 
@@ -76,6 +76,9 @@ def test_parse_rational():
         parse_rational("3/0")
     with pytest.raises(TableFormatError):
         parse_rational("x")
+    for text in ("\u0663/\uff17", "\u0663", "7/\uff17"):  # non-ASCII digits
+        with pytest.raises(TableFormatError):
+            parse_rational(text)
 
 
 @pytest.mark.parametrize(
@@ -92,6 +95,8 @@ def test_parse_rational():
         "BT1\n0 0 1.5\n",               # decimals are not in the grammar
         "BT1\na 0 1\n",                 # non-integer index
         "BT1\n0 1e2 1\n",               # non-integer degree
+        "BT1\n0 0 \u0663\n1 \uff12 7\n",  # non-ASCII value
+        "BT1\n1 \uff12 7\n",            # non-ASCII degree
     ],
 )
 def test_rejects_malformed(text):
@@ -117,7 +122,8 @@ def test_load_missing_file(tmp_path):
 
 
 def test_dumps_is_sorted_and_reduced():
-    table = pure_diagram((0, 2, 4, 5)).scale(Fraction(6, 4))
+    diagram = pure_diagram((0, 2, 4, 5))
+    table = BettiTable({key: v * Fraction(6, 4) for key, v in diagram.items()})
     text = dumps(table)
     lines = text.strip().splitlines()
     assert lines[0] == "BT1"
