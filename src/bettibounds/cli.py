@@ -14,10 +14,11 @@ bracket; otherwise the exact bounds, unless one of their exact factors (a
 binomial or a power) would exceed ``--max-exact-digits``, in which case the
 digit bracket is given with a note saying why.
 
-Exit codes: 0 success, 1 usage or parse error (including a
-``--max-exact-digits`` below 1 or a ``--precision`` outside
-[1, MAX_PRECISION]), 2 domain error (input outside the cone, index out of
-range, a fallback whose lower bound is zero, failed --check).
+Exit codes: 0 success, 1 usage or parse error (including a number that the
+BT1 grammar, ``tablefile.parse_integer`` or ``parse_rational`` for ``--beta0``,
+rejects, a ``--max-exact-digits`` below 1 or a ``--precision`` outside [1,
+MAX_PRECISION]), 2 domain error (input outside the cone, index out of range,
+a fallback whose lower bound is zero, failed --check).
 
 ``--format machine`` emits a single JSON object with stable keys
 (command/inputs/results/status); rationals are rendered as exact ``num/den``
@@ -43,7 +44,8 @@ from . import bounds as bounds_mod
 from . import estimation, tablefile
 from .decompose import decompose, verify_decomposition
 from .diagrams import degree_sequence, format_diagram, pure_diagram
-from .errors import BettiError, DomainError, TableFormatError, TooLarge
+from .errors import BettiError, TableFormatError, TooLarge
+from .tablefile import parse_integer, parse_rational
 
 
 #: Largest --precision accepted: one variety bracket at dim_l = 10**13 takes
@@ -61,67 +63,57 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _degrees_argument(text: str) -> tuple[int, ...]:
-    try:
-        return degree_sequence(part for part in text.split(","))
-    except (ValueError, DomainError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _rational_argument(text: str) -> Fraction:
-    try:
-        return tablefile.parse_rational(text)
-    except TableFormatError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _int_in(lo: int, hi: float = math.inf):
-    """argparse type: an integer in [lo, hi]."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if not lo <= value <= hi:
+def _argument(parse=parse_integer, lo=None, hi=math.inf):
+    """argparse type: ``parse`` (a ``tablefile`` number reader) of the text, in
+    [lo, hi] if lo is given; a parse error is a usage error."""
+    def read(text: str):
+        try:
+            value = parse(text)
+        except BettiError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if lo is not None and not lo <= value <= hi:
             raise argparse.ArgumentTypeError(f"{value} is not in [{lo}, {hi}]")
         return value
-    return integer
+    return read
 
 
 #: Per bounds target: its help text, the names of its exact bounds in
 #: ``bounds`` and of its digit bracket in ``estimation``, and its arguments as
-#: (flag, dest, type, default, help) in the order both functions take them.
+#: (flag, dest, parser, default, help) in the order both functions take them.
 #: A default of None makes the flag required; ``dest`` is also the key in
 #: machine ``inputs``.  The functions are looked up by name at call time, so
 #: wrappers installed on those modules see every call.
 _BOUND_TARGETS = {
     "pure": (
         "bounds C(N,i)*N**(+-r) for pure diagrams", "pure_bounds", "pure_digit_bracket", (
-            ("-N", "N", int, None, "sequence length"),
-            ("-r", "r", int, None, "row slack"),
-            ("-i", "i", int, None, "column index"),
+            ("-N", "N", parse_integer, None, "sequence length"),
+            ("-r", "r", parse_integer, None, "row slack"),
+            ("-i", "i", parse_integer, None, "column index"),
         ),
     ),
     "module": (
         "bounds from codim/pdim/reg/beta0", "algebraic_bounds", "algebraic_digit_bracket", (
-            ("--codim", "codim", int, None, None),
-            ("--pdim", "pdim", int, None, None),
-            ("--reg", "reg", int, None, None),
-            ("--beta0", "beta0", _rational_argument, Fraction(1), None),
-            ("-i", "i", int, None, None),
+            ("--codim", "codim", parse_integer, None, None),
+            ("--pdim", "pdim", parse_integer, None, None),
+            ("--reg", "reg", parse_integer, None, None),
+            ("--beta0", "beta0", parse_rational, Fraction(1), None),
+            ("-i", "i", parse_integer, None, None),
         ),
     ),
     "veronese": (
         "bounds for the degree-d Veronese of n-space", "veronese_bounds",
         "veronese_digit_bracket", (
-            ("-n", "n", int, None, None),
-            ("-d", "d", int, None, None),
-            ("-i", "i", int, None, None),
+            ("-n", "n", parse_integer, None, None),
+            ("-d", "d", parse_integer, None, None),
+            ("-i", "i", parse_integer, None, None),
         ),
     ),
     "variety": (
         "bounds for an embedded variety", "variety_bounds", "variety_digit_bracket", (
-            ("--dim-l", "dim_l", int, None, None),
-            ("--dim-x", "dim_x", int, None, None),
-            ("--reg", "reg", int, None, None),
-            ("-i", "i", int, None, None),
+            ("--dim-l", "dim_l", parse_integer, None, None),
+            ("--dim-x", "dim_x", parse_integer, None, None),
+            ("--reg", "reg", parse_integer, None, None),
+            ("-i", "i", parse_integer, None, None),
         ),
     ),
 }
@@ -144,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bound_flags = _Parser(add_help=False)
     bound_flags.add_argument(
-        "--precision", type=_int_in(1, MAX_PRECISION), default=estimation.DEFAULT_PRECISION,
-        metavar="DIGITS",
+        "--precision", type=_argument(lo=1, hi=MAX_PRECISION),
+        default=estimation.DEFAULT_PRECISION, metavar="DIGITS",
         help=f"working precision for estimates, in significant decimal digits "
              f"(1 to {MAX_PRECISION})",
     )
@@ -155,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(reproduces published intermediates; not sound for small indices)",
     )
     bound_flags.add_argument(
-        "--max-exact-digits", type=_int_in(1), default=bounds_mod.DEFAULT_DIGIT_BUDGET,
+        "--max-exact-digits", type=_argument(lo=1), default=bounds_mod.DEFAULT_DIGIT_BUDGET,
         metavar="DIGITS",
         help="digit budget for each exact binomial and each power in a bound; "
              "past it, bounds fall back to a digit bracket (default: 1000000)",
@@ -174,11 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
         "pure", parents=[common], help="pure diagram of a degree sequence"
     )
     p_pure.add_argument(
-        "degrees", type=_degrees_argument,
+        "degrees", type=_argument(
+            lambda text: degree_sequence(map(parse_integer, text.split(",")))),
         help="comma-separated strictly increasing integers, e.g. 0,2,4,5",
     )
     # argparse takes -3,1,2 for an option: its matcher knows only plain numbers
-    p_pure._negative_number_matcher = re.compile(r"^-\d")
+    p_pure._negative_number_matcher = re.compile(r"^-[0-9]")
     p_pure.set_defaults(handler=_cmd_pure, label="pure")
 
     p_dec = sub.add_parser(
@@ -190,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-verify exact reconstruction and the chain",
     )
     p_dec.add_argument(
-        "--codim", type=int, default=None,
+        "--codim", type=_argument(), default=None,
         help="also check that every type length lies in [codim, pdim]",
     )
     p_dec.set_defaults(handler=_cmd_decompose, label="decompose")
@@ -200,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     for target, (summary, _, _, arguments) in _BOUND_TARGETS.items():
         b_parser = bsub.add_parser(target, parents=[common, bound_flags], help=summary)
         for flag, dest, kind, default, text in arguments:
-            b_parser.add_argument(flag, dest=dest, type=kind, default=default,
+            b_parser.add_argument(flag, dest=dest, type=_argument(kind), default=default,
                                   required=default is None, help=text)
         b_parser.set_defaults(handler=_cmd_bounds, label=f"bounds {target}")
 
@@ -208,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
         "dim-l", parents=[common],
         help="dim |O_X(e)| for a degree-delta hypersurface in m-space",
     )
-    p_dim.add_argument("-m", dest="m", type=int, required=True)
-    p_dim.add_argument("--delta", type=int, required=True)
-    p_dim.add_argument("-e", dest="e", type=int, required=True)
+    p_dim.add_argument("-m", dest="m", type=_argument(), required=True)
+    p_dim.add_argument("--delta", type=_argument(), required=True)
+    p_dim.add_argument("-e", dest="e", type=_argument(), required=True)
     p_dim.set_defaults(handler=_cmd_dim_l, label="dim-l")
 
     return parser

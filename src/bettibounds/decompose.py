@@ -180,8 +180,10 @@ def verify_decomposition(
     reconstruction (``reconstruct`` rejects a coefficient that is not
     positive), and (when codim is given) that every degree sequence has
     length between codim and the projective dimension of the table.  Raises
-    DomainError on any failure.
+    DomainError on any failure, or for a negative codim.
     """
+    if codim is not None and codim < 0:
+        raise DomainError(f"codim must be nonnegative, got {codim}")
     for (_, a), (_, b) in zip(decomposition.terms, decomposition.terms[1:]):
         if not deg_seq_lt(a, b):
             raise DomainError(f"types {a} and {b} do not increase strictly")

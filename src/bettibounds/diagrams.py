@@ -20,6 +20,7 @@ for d_0 = 0 is the special case where the numerator is prod_{j != 0} d_j.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -28,9 +29,9 @@ from .errors import DomainError
 def degree_sequence(degrees: Iterable[int]) -> tuple[int, ...]:
     """Validate and normalize a degree sequence to a tuple of ints.
 
-    Raises DomainError if empty or not strictly increasing.
+    Raises DomainError if empty or not strictly increasing, TypeError for 2.5 or "2".
     """
-    d = tuple(int(x) for x in degrees)
+    d = tuple(map(operator.index, degrees))
     if not d:
         raise DomainError("a degree sequence must have at least one entry")
     for a, b in zip(d, d[1:]):
@@ -69,8 +70,7 @@ class BettiTable:
         data: dict[tuple[int, int], Fraction] = {}
         if entries:
             for key, raw in entries.items():
-                i, j = key
-                i, j = int(i), int(j)
+                i, j = map(operator.index, key)
                 if i < 0:
                     raise DomainError(f"homological index must be nonnegative, got {i}")
                 value = Fraction(raw)

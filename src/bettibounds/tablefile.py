@@ -7,10 +7,13 @@ Grammar::
     i j v
 
 with i a nonnegative integer, j an integer, and v a positive rational
-written as an integer or ``num/den``; integers are ASCII digits with an
-optional sign.  A file is read as UTF-8.  Duplicate (i, j) pairs are rejected.
-The format is bit-exact: writing a table and re-reading it yields a
-structurally equal table.
+written as an integer or ``num/den``.  A file is read as UTF-8.  Duplicate
+(i, j) pairs are rejected.  The format is bit-exact: writing a table and
+re-reading it yields a structurally equal table.
+
+``parse_integer`` and ``parse_rational`` are the one number grammar, for BT1
+and argv alike: ASCII digits with an optional sign, at most the int->str limit
+of them, and ``num/den`` with an unsigned ``den`` for a rational.
 """
 
 from __future__ import annotations
@@ -24,28 +27,30 @@ from .errors import TableFormatError
 
 HEADER = "BT1"
 
-_INT = re.compile(r"[+-]?[0-9]+$")
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?$")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _integer(digits: str) -> int:
-    """int(digits), or TableFormatError past the int->str conversion limit."""
+def parse_integer(text: str) -> int:
+    """Parse ASCII digits with an optional sign; TableFormatError for other text,
+    or for more digits than the int->str limit (naming the count, not the digits)."""
+    if not _INTEGER.fullmatch(text):
+        raise TableFormatError(f"not an integer: {text!r}")
     try:
-        return int(digits)
+        return int(text)
     except ValueError:
         raise TableFormatError(
-            f"an integer of {len(digits.lstrip('+-'))} digits exceeds the limit of "
+            f"an integer of {len(text.lstrip('+-'))} digits exceeds the limit of "
             f"{sys.get_int_max_str_digits()} digits"
         ) from None
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``num`` or ``num/den`` into an exact Fraction."""
-    m = _RATIONAL.match(text)
+    m = _RATIONAL.fullmatch(text)
     if not m:
         raise TableFormatError(f"not a rational number: {text!r}")
-    num = _integer(m.group(1))
-    den = _integer(m.group(2)) if m.group(2) else 1
+    num, den = parse_integer(m[1]), parse_integer(m[2] or "1")
     if den == 0:
         raise TableFormatError(f"zero denominator: {text!r}")
     return Fraction(num, den)
@@ -67,9 +72,9 @@ def loads(text: str) -> BettiTable:
         if len(fields) != 3:
             raise TableFormatError(f"line {n}: expected 'i j v', got {line!r}")
         si, sj, sv = fields
-        if not _INT.match(si) or not _INT.match(sj):
+        if not _INTEGER.fullmatch(si) or not _INTEGER.fullmatch(sj):
             raise TableFormatError(f"line {n}: indices must be integers, got {line!r}")
-        i, j = _integer(si), _integer(sj)
+        i, j = parse_integer(si), parse_integer(sj)
         if i < 0:
             raise TableFormatError(f"line {n}: homological index must be nonnegative")
         value = parse_rational(sv)

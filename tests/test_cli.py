@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,13 +11,14 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bettibounds
 from bettibounds import BettiTable, pure_diagram, variety_bounds, veronese_bounds
 from bettibounds import cli, estimation
 from bettibounds.cli import build_parser, main
 from bettibounds.tablefile import dumps
-from conftest import mp_ln, mp_log_comb
+from conftest import MONOMIAL_QUOTIENT_ENTRIES, mp_ln, mp_log_comb
 
 
 @pytest.fixture
@@ -209,6 +212,15 @@ def test_entry_one_digit_past_the_callers_limit_is_a_parse_error(capsys, tmp_pat
     assert err.startswith("betti: ") and err.count("\n") == 1
     assert f"{limit + 1} digits" in err
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("codim", ["-5", "-1"])
+def test_decompose_rejects_a_negative_codim(capsys, worked_file, codim):
+    expected = (2, "", f"betti: codim must be nonnegative, got {codim}\n")
+    for flags in ((), ("--check",)):
+        assert run(capsys, "decompose", worked_file, "--codim", codim, *flags) == expected
+    module = ("bounds", "module", "--codim", codim, "--pdim", "2", "--reg", "1", "-i", "1")
+    assert run(capsys, *module) == expected
 
 
 def test_decompose_file_that_is_not_utf8(capsys, tmp_path):
@@ -595,6 +607,114 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "pure", "a,b")[0] == 1                     # unparsable degrees
     assert run(capsys, *EXACT_ARGV["module"], "--beta0", "x")[0] == 1  # unparsable beta0
     assert run(capsys, *EXACT_ARGV["module"], "--beta0", "\u0663/\uff17")[0] == 1  # non-ASCII
+
+
+# -- one number grammar ----------------------------------------------------------
+
+#: Argvs whose numbers int() read as 18, 3, 13, 0, 2 and 7, or, past the
+#: int->str limit, rejected by echoing all 5,001 digits.
+OUTSIDE_THE_GRAMMAR = [
+    ("bounds", "pure", "-N", "\u0661\u0668", "-r", "2", "-i", "7"),
+    ("bounds", "pure", "-N", "1_8", "-r", "2", "-i", "7"),
+    ("bounds", "pure", "-N", " 18 ", "-r", "2", "-i", "7"),
+    ("dim-l", "-m", "\u0663", "--delta", "1_3", "-e", "1000"),
+    ("pure", "\u0660,\u0662"),
+    ("pure", " 0, 2"),
+    (*EXACT_ARGV["module"], "--beta0", "7\n"),
+    ("bounds", "pure", "-N", "1" + "0" * 5000, "-r", "2", "-i", "7"),
+]
+
+
+@pytest.mark.parametrize("argv", OUTSIDE_THE_GRAMMAR)
+def test_numbers_outside_the_grammar_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("betti") and err.count("\n") == 1 and len(err.encode()) < 300
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+FULLWIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def spellings(value):
+    """Ways to write ``value``: text -> (the grammar takes it as an integer, as
+    a rational).  A text the grammar takes means ``value``."""
+    plain, sign, digits = str(value), "-" * (value < 0), str(abs(value))
+    ways = {
+        plain: (True, True),
+        "+" + plain: (value >= 0, value >= 0),
+        sign + "00" + digits: (True, True),
+        f"{3 * value}/3": (False, True),
+        plain.translate(ARABIC_INDIC): (False, False),
+        plain.translate(FULLWIDTH): (False, False),
+        sign + "0_" + digits: (False, False),
+        f" {plain} ": (False, False),
+        plain + "\n": (False, False),
+    }
+    if INT_LIMIT:
+        ways["7" * (INT_LIMIT + 1)] = (False, False)
+    return ways
+
+
+@st.composite
+def numeric_argvs(draw, table):
+    """A command as (words, numbers): its fixed words and a (flag, value) pair
+    per number, with flag None for a degree of ``pure``."""
+    small = st.integers(0, 9) | st.integers(-40, 40)  # 0 to 9 often, so most commands succeed
+    command = draw(st.sampled_from([*cli._BOUND_TARGETS, "pure", "decompose", "dim-l"]))
+    if command == "pure":
+        return ["pure"], [(None, v) for v in draw(st.lists(small, min_size=1, max_size=5))]
+    if command == "decompose":
+        check = draw(st.sampled_from([[], ["--check"]]))
+        return ["decompose", table, *check], [("--codim", draw(small))]
+    if command == "dim-l":
+        return ["dim-l"], [(flag, draw(small)) for flag in ("-m", "--delta", "-e")]
+    flags = [flag for flag, _, _, default, _ in cli._BOUND_TARGETS[command][3]
+             if default is None or draw(st.booleans())]
+    flags += [flag for flag in ("--precision", "--max-exact-digits") if draw(st.booleans())]
+    return ["bounds", command], [(flag, draw(small)) for flag in flags]
+
+
+def _argv(words, numbers, texts):
+    if words == ["pure"]:  # the degrees make one comma-separated argument
+        return ["pure", ",".join(texts)]
+    return [*words, *(word for (flag, _), text in zip(numbers, texts) for word in (flag, text))]
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def table_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grammar") / "worked.bt1"
+    path.write_text(dumps(BettiTable(MONOMIAL_QUOTIENT_ENTRIES)), encoding="utf-8")
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_argv_number_is_read_by_the_one_grammar(table_file, data):
+    words, numbers = data.draw(numeric_argvs(table_file))
+    fmt = ["--format", data.draw(st.sampled_from(["text", "machine"]))]
+    texts, in_grammar = [], True
+    for flag, value in numbers:
+        ways = spellings(value)
+        texts.append(data.draw(st.sampled_from(list(ways))))
+        in_grammar &= ways[texts[-1]][flag == "--beta0"]  # --beta0 reads a rational
+    expected = _main(_argv(words, numbers, [str(v) for _, v in numbers]) + fmt)
+    code, out, err = _main(_argv(words, numbers, texts) + fmt)
+    if in_grammar:
+        assert (code, out, err) == expected
+        assert code in (0, 1, 2)
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("betti") and err.count("\n") == 1, err
+        assert len(err.encode()) < 300 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -149,6 +149,16 @@ def test_verify_decomposition_codim_window(quotient_table):
         verify_decomposition(pure_diagram((0, 1)), decomposition)
 
 
+def test_verify_decomposition_rejects_a_negative_codim(quotient_table):
+    # every type length lies in [-5, pdim], so the window alone would pass
+    decomposition = decompose(quotient_table)
+    for codim in (-5, -1):
+        with pytest.raises(DomainError) as failure:
+            verify_decomposition(quotient_table, decomposition, codim=codim)
+        assert str(failure.value) == f"codim must be nonnegative, got {codim}"
+    verify_decomposition(quotient_table, decomposition, codim=0)
+
+
 def test_verify_decomposition_failures(quotient_table):
     decomposition = decompose(quotient_table)
     (c0, d0), (c1, d1) = decomposition.terms[:2]

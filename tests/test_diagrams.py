@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from bettibounds import (
     BettiTable,
+    Decomposition,
     DomainError,
     deg_seq_leq,
     deg_seq_lt,
@@ -113,13 +114,26 @@ def test_deg_seq_leq_transitive(a, b, c):
 
 def test_degree_sequence_validation():
     assert degree_sequence([0, 2, 5]) == (0, 2, 5)
-    assert degree_sequence(("-3", "1")) == (-3, 1)
+    with pytest.raises(TypeError):  # text is parsed at the edge, by tablefile.parse_integer
+        degree_sequence(("-3", "1"))
     with pytest.raises(DomainError):
         degree_sequence([])
     with pytest.raises(DomainError):
         degree_sequence([0, 0, 1])
     with pytest.raises(DomainError):
         degree_sequence([3, 1])
+
+
+def test_non_integer_degrees_and_indices_are_rejected_not_truncated():
+    # int() would read 2.5 as 2 and 0.5 as 0
+    with pytest.raises(TypeError):
+        pure_diagram((0, 2.5, 4))
+    with pytest.raises(TypeError):
+        BettiTable({(0.5, 0.9): 1})
+    with pytest.raises(TypeError):
+        BettiTable({(0, 1.0): 1})
+    with pytest.raises(TypeError):
+        Decomposition(((Fraction(1), (0, 2.5, 4)),)).reconstruct()
 
 
 def test_table_basics(quotient_table):

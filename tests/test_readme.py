@@ -1,5 +1,6 @@
 """The README's quickstart runs as written and gives the values its comments state."""
 
+import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -47,3 +48,17 @@ def test_cli_dim_l_example(capsys):
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == f"dim |L| = {comment.strip()}\n"
     assert comment.strip() == "6441720"
+
+
+def test_every_cli_line_runs(capsys, tmp_path):
+    # table.bt1 is the README's BT1 example, whose codim is 2 (--codim 3 fails its check)
+    table = tmp_path / "table.bt1"
+    table.write_text(_block("### Table file format (BT1)", "text"), encoding="utf-8")
+    for line in _block("## CLI", "text").splitlines():
+        line = line.split("#")[0].replace("--codim C", "--codim 2")
+        line = line.replace("table.bt1", shlex.quote(str(table)))
+        argv = shlex.split(re.sub(r"\[[^]]*\]", "", line))
+        assert argv[0] == "betti"
+        for extra in ["", *re.findall(r"\[([^]]*)\]", line)]:  # each [option] on its own
+            assert main([*argv[1:], *shlex.split(extra)]) == 0, (line, extra)
+            capsys.readouterr()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bettibounds import BettiTable, TableFormatError, pure_diagram
-from bettibounds.tablefile import dumps, load, loads, parse_rational
+from bettibounds.tablefile import dumps, load, loads, parse_integer, parse_rational
 from test_decompose import DIFFERENTIAL_CASES, _chain_terms_and_table
 
 
@@ -76,7 +76,14 @@ def test_parse_rational():
         parse_rational("3/0")
     with pytest.raises(TableFormatError):
         parse_rational("x")
-    for text in ("\u0663/\uff17", "\u0663", "7/\uff17"):  # non-ASCII digits
+    assert parse_integer("+007") == parse_rational("+007") == 7
+    for text in ("7\n", " 7", "1_8", "3/-4", "7/1\n"):  # only the whole text is read
+        with pytest.raises(TableFormatError):
+            parse_rational(text)
+        with pytest.raises(TableFormatError):
+            parse_integer(text)
+    # non-ASCII digits
+    for text in ("\u0663/\uff17", "\u0663", "7/\uff17", "\u0661\u0668", "\uff11\uff18"):
         with pytest.raises(TableFormatError):
             parse_rational(text)
 
