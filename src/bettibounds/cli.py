@@ -14,11 +14,11 @@ bracket; otherwise the exact bounds, unless one of their exact factors (a
 binomial or a power) would exceed ``--max-exact-digits``, in which case the
 digit bracket is given with a note saying why.
 
-Exit codes: 0 success, 1 usage or parse error (including a number that the
-BT1 grammar, ``tablefile.parse_integer`` or ``parse_rational`` for ``--beta0``,
-rejects, a ``--max-exact-digits`` below 1 or a ``--precision`` outside [1,
-MAX_PRECISION]), 2 domain error (input outside the cone, index out of range,
-a fallback whose lower bound is zero, failed --check).
+Exit codes: 0 success, 1 usage or parse error (a number outside the one
+grammar of ``tablefile.parse_integer`` and ``parse_rational``, a
+``--max-exact-digits`` below 1 or a ``--precision`` outside [1, MAX_PRECISION]),
+2 domain error (input outside the cone, index out of range, a fallback whose
+lower bound is zero, failed --check).
 
 ``--format machine`` emits a single JSON object with stable keys
 (command/inputs/results/status); rationals are rendered as exact ``num/den``
@@ -45,7 +45,7 @@ from . import estimation, tablefile
 from .decompose import decompose, verify_decomposition
 from .diagrams import degree_sequence, format_diagram, pure_diagram
 from .errors import BettiError, TableFormatError, TooLarge
-from .tablefile import parse_integer, parse_rational
+from .tablefile import parse_integer, parse_rational, shown
 
 
 #: Largest --precision accepted: one variety bracket at dim_l = 10**13 takes
@@ -59,6 +59,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[0-9]")  # -3,1,2 and -15/3 are values
+
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
@@ -72,7 +76,7 @@ def _argument(parse=parse_integer, lo=None, hi=math.inf):
         except BettiError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         if lo is not None and not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"{value} is not in [{lo}, {hi}]")
+            raise argparse.ArgumentTypeError(f"{shown(str(value))} is not in [{lo}, {hi}]")
         return value
     return read
 
@@ -162,16 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(max_exact_digits=bounds_mod.DEFAULT_DIGIT_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p_pure = sub.add_parser(
-        "pure", parents=[common], help="pure diagram of a degree sequence"
-    )
+    p_pure = sub.add_parser("pure", parents=[common], help="pure diagram of a degree sequence")
     p_pure.add_argument(
         "degrees", type=_argument(
             lambda text: degree_sequence(map(parse_integer, text.split(",")))),
         help="comma-separated strictly increasing integers, e.g. 0,2,4,5",
     )
-    # argparse takes -3,1,2 for an option: its matcher knows only plain numbers
-    p_pure._negative_number_matcher = re.compile(r"^-[0-9]")
     p_pure.set_defaults(handler=_cmd_pure, label="pure")
 
     p_dec = sub.add_parser(
@@ -201,9 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
         "dim-l", parents=[common],
         help="dim |O_X(e)| for a degree-delta hypersurface in m-space",
     )
-    p_dim.add_argument("-m", dest="m", type=_argument(), required=True)
-    p_dim.add_argument("--delta", type=_argument(), required=True)
-    p_dim.add_argument("-e", dest="e", type=_argument(), required=True)
+    for flag, dest in (("-m", "m"), ("--delta", "delta"), ("-e", "e")):
+        p_dim.add_argument(flag, dest=dest, type=_argument(), required=True)
     p_dim.set_defaults(handler=_cmd_dim_l, label="dim-l")
 
     return parser
@@ -231,9 +230,7 @@ def _cmd_decompose(args):
         verify_decomposition(table, decomposition, codim=args.codim)
     inputs = {"path": args.path, "check": bool(args.check), "codim": args.codim}
     results = {
-        "terms": [
-            {"coefficient": str(c), "type": list(d)} for c, d in decomposition
-        ],
+        "terms": [{"coefficient": str(c), "type": list(d)} for c, d in decomposition],
         "coefficient_sum": str(decomposition.coefficient_sum()),
     }
     if checked:
@@ -309,12 +306,9 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(
                 min(max(limit, 2 * args.max_exact_digits + 4300), 2**31 - 1))
         inputs, results, text = args.handler(args)
-    except TableFormatError as exc:
-        print(f"betti: {exc}", file=sys.stderr)
-        return 1
     except BettiError as exc:
         print(f"betti: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, TableFormatError) else 2
     else:
         if args.format == "machine":
             print(json.dumps(

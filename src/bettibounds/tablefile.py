@@ -31,50 +31,55 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+class _NotAnInteger(TableFormatError):
+    """Text outside the integer grammar, as against an integer past the limit."""
+
+
+def shown(text: str) -> str:
+    """``text`` quoted, or past 40 characters its length: no message echoes a long input."""
+    return repr(text) if len(text) <= 40 else f"a text of {len(text)} characters"
+
+
 def parse_integer(text: str) -> int:
     """Parse ASCII digits with an optional sign; TableFormatError for other text,
     or for more digits than the int->str limit (naming the count, not the digits)."""
     if not _INTEGER.fullmatch(text):
-        raise TableFormatError(f"not an integer: {text!r}")
+        raise _NotAnInteger(f"not an integer: {shown(text)}")
     try:
         return int(text)
-    except ValueError:
-        raise TableFormatError(
-            f"an integer of {len(text.lstrip('+-'))} digits exceeds the limit of "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
+    except ValueError:  # past the int->str limit
+        raise TableFormatError(f"an integer of {len(text.lstrip('+-'))} digits exceeds the "
+                               f"limit of {sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``num`` or ``num/den`` into an exact Fraction."""
     m = _RATIONAL.fullmatch(text)
     if not m:
-        raise TableFormatError(f"not a rational number: {text!r}")
+        raise TableFormatError(f"not a rational number: {shown(text)}")
     num, den = parse_integer(m[1]), parse_integer(m[2] or "1")
     if den == 0:
-        raise TableFormatError(f"zero denominator: {text!r}")
+        raise TableFormatError(f"zero denominator: {shown(text)}")
     return Fraction(num, den)
 
 
 def loads(text: str) -> BettiTable:
     """Parse BT1 text into a BettiTable."""
-    lines = text.splitlines()
-    significant = [
-        (n, line.strip())
-        for n, line in enumerate(lines, start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    significant = [(n, line.strip()) for n, line in enumerate(text.splitlines(), start=1)
+                   if line.strip() and not line.lstrip().startswith("#")]
     if not significant or significant[0][1] != HEADER:
         raise TableFormatError(f"missing {HEADER} header line")
     entries: dict[tuple[int, int], Fraction] = {}
     for n, line in significant[1:]:
         fields = line.split()
         if len(fields) != 3:
-            raise TableFormatError(f"line {n}: expected 'i j v', got {line!r}")
+            raise TableFormatError(f"line {n}: expected 'i j v', got {shown(line)}")
         si, sj, sv = fields
-        if not _INTEGER.fullmatch(si) or not _INTEGER.fullmatch(sj):
-            raise TableFormatError(f"line {n}: indices must be integers, got {line!r}")
-        i, j = parse_integer(si), parse_integer(sj)
+        try:
+            i, j = parse_integer(si), parse_integer(sj)
+        except _NotAnInteger:
+            raise TableFormatError(
+                f"line {n}: indices must be integers, got {shown(line)}") from None
         if i < 0:
             raise TableFormatError(f"line {n}: homological index must be nonnegative")
         value = parse_rational(sv)

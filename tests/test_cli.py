@@ -611,8 +611,9 @@ def test_usage_errors_exit_1(capsys):
 
 # -- one number grammar ----------------------------------------------------------
 
-#: Argvs whose numbers int() read as 18, 3, 13, 0, 2 and 7, or, past the
-#: int->str limit, rejected by echoing all 5,001 digits.
+#: Argvs whose numbers int() read as 18, 3, 13, 0, 2 and 7, or whose long
+#: number a message echoed: 5,001 digits past the int->str limit, a 4,300-digit
+#: --precision out of range and 5,000 Arabic-Indic digits.
 OUTSIDE_THE_GRAMMAR = [
     ("bounds", "pure", "-N", "\u0661\u0668", "-r", "2", "-i", "7"),
     ("bounds", "pure", "-N", "1_8", "-r", "2", "-i", "7"),
@@ -622,6 +623,8 @@ OUTSIDE_THE_GRAMMAR = [
     ("pure", " 0, 2"),
     (*EXACT_ARGV["module"], "--beta0", "7\n"),
     ("bounds", "pure", "-N", "1" + "0" * 5000, "-r", "2", "-i", "7"),
+    (*EXACT_ARGV["pure"], "--precision", "1" + "0" * 4299),
+    ("bounds", "pure", "-N", "\u0661" * 5000, "-r", "2", "-i", "7"),
 ]
 
 
@@ -630,6 +633,13 @@ def test_numbers_outside_the_grammar_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("betti") and err.count("\n") == 1 and len(err.encode()) < 300
+
+
+def test_a_negative_rational_is_a_value_not_an_option(capsys):
+    # argparse's own matcher takes -15/3 for an option; the parser's reads it as -5
+    expected = run(capsys, *EXACT_ARGV["module"], "--beta0", "-5")
+    assert expected == (2, "", "betti: beta0 must be positive, got -5\n")
+    assert run(capsys, *EXACT_ARGV["module"], "--beta0", "-15/3") == expected
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))

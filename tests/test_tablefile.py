@@ -123,6 +123,16 @@ def test_value_past_the_int_limit_is_a_format_error():
         assert digits[:50] not in str(info.value)
 
 
+def test_index_messages_name_the_line_but_not_a_long_text():
+    with pytest.raises(TableFormatError) as info:
+        loads("BT1\na 0 1\n")
+    assert str(info.value) == "line 2: indices must be integers, got 'a 0 1'"
+    digits = "\u0661" * 5000
+    with pytest.raises(TableFormatError) as info:
+        loads(f"BT1\n{digits} 0 1\n")
+    assert str(info.value) == "line 2: indices must be integers, got a text of 5004 characters"
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(TableFormatError):
         load(tmp_path / "nope.bt1")
