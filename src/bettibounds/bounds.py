@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, TooLarge
+from .errors import DomainError, TooLarge, shown
 from .estimation import DEFAULT_PRECISION, _ONE, _Term, _log10_bracket
 from .estimation import _module_shape, _pure_shape, _variety_shape, _veronese_shape
 
@@ -199,7 +199,8 @@ def hypersurface_dim_l(m: int, delta: int, e: int) -> int:
     for e < delta the value is C(e+m, m) - 1 >= m.
     """
     if m < 1 or delta < 1 or e < 1:
-        raise DomainError(f"hypersurface_dim_l requires m, delta, e >= 1, got ({m}, {delta}, {e})")
+        raise DomainError(f"hypersurface_dim_l requires m, delta, e >= 1, "
+                          f"got ({shown(m)}, {shown(delta)}, {shown(e)})")
     removed = math.comb(e - delta + m, m) if e >= delta else 0
     return math.comb(e + m, m) - removed - 1
 
@@ -212,11 +213,7 @@ def check_rising_factorial_bound(n: int, i: int, a: int) -> bool:
     """
     if n < 1 or not 1 <= i <= n or a < 0:
         raise DomainError(f"need n >= 1, 1 <= i <= n, a >= 0; got ({n}, {i}, {a})")
-    lhs = Fraction(1)
-    for k in range(1, a + 1):
-        lhs *= Fraction(n + k, k)
-    lhs *= Fraction(i, i + a)
-    return lhs <= Fraction(n) ** a
+    return math.comb(n + a, a) * i <= n**a * (i + a)
 
 
 def check_descending_factorial_bound(a: int, b: int) -> bool:
@@ -226,7 +223,4 @@ def check_descending_factorial_bound(a: int, b: int) -> bool:
     """
     if a < 0 or b < 0:
         raise DomainError(f"need a, b >= 0; got ({a}, {b})")
-    lhs = Fraction(1)
-    for k in range(1, b + 1):
-        lhs *= Fraction(a + k, k)
-    return lhs <= Fraction(a + 1) ** b
+    return math.comb(a + b, b) <= (a + 1) ** b

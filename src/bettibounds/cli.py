@@ -25,9 +25,10 @@ lower bound is zero, failed --check).
 strings and digit brackets as integer exponents, with the fallback note as
 ``results["note"]``.
 
-``main`` parses argv and reads a BT1 file under the caller's int->str digit
-limit, widens the limit only while the command runs (exact outputs may have
-millions of digits) and then restores the caller's value.
+Every command reads its input and computes under the caller's int->str digit
+limit.  Handlers return exact values, and ``main`` alone turns them into text,
+lifting the limit only while it prints.  ``--max-exact-digits``, not the
+limit, sizes an exact answer.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from . import bounds as bounds_mod
 from . import estimation, tablefile
 from .decompose import decompose, verify_decomposition
 from .diagrams import degree_sequence, format_diagram, pure_diagram
-from .errors import BettiError, TableFormatError, TooLarge
-from .tablefile import parse_integer, parse_rational, shown
+from .errors import BettiError, TableFormatError, TooLarge, shown
+from .tablefile import parse_integer, parse_rational
 
 
 #: Largest --precision accepted: one variety bracket at dim_l = 10**13 takes
@@ -129,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     Every leaf parser sets ``handler`` (its ``_cmd_*`` function) and
     ``label`` (the ``command`` string of machine output).  A handler returns
-    (inputs, results, text), with text a zero-argument function giving the
-    text lines, so ``--format machine`` never builds them.
+    (inputs, results, text): dicts of exact values, and a zero-argument
+    function giving the text lines, so ``--format machine`` never builds them.
     """
     common = _Parser(add_help=False)
     common.add_argument(
@@ -162,8 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     parser = _Parser(prog="betti", description=__doc__.splitlines()[0])
-    # main widens the int->str limit by the budget while any command runs
-    parser.set_defaults(max_exact_digits=bounds_mod.DEFAULT_DIGIT_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p_pure = sub.add_parser("pure", parents=[common], help="pure diagram of a degree sequence")
@@ -211,27 +210,28 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_pure(args):
     table = pure_diagram(args.degrees)
     entries = table.items()
-    totals = [str(v) for _, v in entries]  # one entry per column
+    totals = [v for _, v in entries]  # one entry per column
     inputs = {"degrees": list(args.degrees)}
     results = {
-        "entries": [{"i": i, "j": j, "value": str(v)} for (i, j), v in entries],
+        "entries": [{"i": i, "j": j, "value": v} for (i, j), v in entries],
         "totals": totals,
         "pdim": table.pdim,
         "reg": table.reg,
     }
-    return inputs, results, lambda: [format_diagram(table), "", "totals: " + "  ".join(totals)]
+    return inputs, results, lambda: [
+        format_diagram(table), "", "totals: " + "  ".join(map(str, totals))]
 
 
 def _cmd_decompose(args):
-    table = args.table
+    table = tablefile.load(args.path)
     decomposition = decompose(table)
     checked = args.check or args.codim is not None
     if checked:
         verify_decomposition(table, decomposition, codim=args.codim)
     inputs = {"path": args.path, "check": bool(args.check), "codim": args.codim}
     results = {
-        "terms": [{"coefficient": str(c), "type": list(d)} for c, d in decomposition],
-        "coefficient_sum": str(decomposition.coefficient_sum()),
+        "terms": [{"coefficient": c, "type": list(d)} for c, d in decomposition],
+        "coefficient_sum": decomposition.coefficient_sum(),
     }
     if checked:
         results["checked"] = True
@@ -244,42 +244,45 @@ def _cmd_decompose(args):
 def _cmd_bounds(args):
     _, exact, bracket, arguments = _BOUND_TARGETS[args.target]
     values = {dest: getattr(args, dest) for _, dest, *_ in arguments}
-    extra = {}
+    results = {}
     if args.target == "veronese":
-        extra["N"] = estimation.veronese_codim(args.n, args.d).codim
+        results["N"] = estimation.veronese_codim(args.n, args.d).codim
     inputs = {
         "precision": args.precision,
         "paper_constants": bool(args.paper_constants),
         "max_exact_digits": args.max_exact_digits,
-        **{dest: str(v) if isinstance(v, Fraction) else v for dest, v in values.items()},
+        **values,
         "estimate": args.estimate,
     }
-
-    def text(*lines):
-        return lambda: [*(f"{k} = {v}" for k, v in extra.items()), *lines]
-
+    text = functools.partial(_bounds_lines, results)
     note = None
     if not args.estimate:
         try:
             pair = getattr(bounds_mod, exact)(*values.values(), args.max_exact_digits)
         except TooLarge as exc:
-            note = (f"{exc.factor} exceeds the digit budget of {exc.digit_budget} digits; "
-                    "estimated instead")
+            note = (f"{exc.factor} exceeds the digit budget of "
+                    f"{shown(exc.digit_budget)} digits; estimated instead")
         else:
-            lower, upper = str(pair.lower), str(pair.upper)  # int->str is quadratic: once
-            results = {**extra, "mode": "exact", "lower": lower, "upper": upper}
-            return inputs, results, text(f"lower = {lower}", f"upper = {upper}")
+            results.update(mode="exact", lower=pair.lower, upper=pair.upper)
+            return inputs, results, text
     b = getattr(estimation, bracket)(*values.values(), args.precision, args.paper_constants)
-    results = {**extra, "mode": "estimate", "exp_lo": b.exp_lo, "exp_hi": b.exp_hi,
-               "digits_lo": b.digits_lo, "digits_hi": b.digits_hi}
+    results.update(mode="estimate", exp_lo=b.exp_lo, exp_hi=b.exp_hi,
+                   digits_lo=b.digits_lo, digits_hi=b.digits_hi)
     if note:
         results["note"] = note
-    return inputs, results, text(
-        *([note] if note else []),
-        f"exp_lo = {b.exp_lo}",
-        f"exp_hi = {b.exp_hi}",
-        f"value in [10^{b.exp_lo}, 10^{b.exp_hi}]; digits in [{b.digits_lo}, {b.digits_hi}]",
-    )
+    return inputs, results, text
+
+
+def _bounds_lines(results):
+    """The text of a ``bounds`` result: N, then the bounds, or the note and the bracket."""
+    lines = [f"{key} = {results[key]}" for key in ("N", "lower", "upper") if key in results]
+    if results["mode"] == "estimate":
+        lo, hi = results["exp_lo"], results["exp_hi"]
+        lines += [*([results["note"]] if "note" in results else []),
+                  f"exp_lo = {lo}", f"exp_hi = {hi}",
+                  f"value in [10^{lo}, 10^{hi}]; "
+                  f"digits in [{results['digits_lo']}, {results['digits_hi']}]"]
+    return lines
 
 
 def _cmd_dim_l(args):
@@ -292,34 +295,31 @@ def _cmd_dim_l(args):
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        inputs, results, text = args.handler(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    try:
-        if args.command == "decompose":  # input is read under the caller's limit
-            args.table = tablefile.load(args.path)
-        if limit:  # the limit is a C int, so a huge budget widens it only to 2**31 - 1
-            sys.set_int_max_str_digits(
-                min(max(limit, 2 * args.max_exact_digits + 4300), 2**31 - 1))
-        inputs, results, text = args.handler(args)
     except BettiError as exc:
         print(f"betti: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, TableFormatError) else 2
-    else:
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    try:
+        if limit:  # exact answers are sized by --max-exact-digits, not by the limit
+            sys.set_int_max_str_digits(0)
         if args.format == "machine":
             print(json.dumps(
-                {"command": args.label, "inputs": inputs, "results": results, "status": "ok"}
+                {"command": args.label, "inputs": inputs, "results": results, "status": "ok"},
+                default=str,  # a Fraction prints as num/den
             ))
         else:
             print("\n".join(text()))
-        return 0
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+    return 0
 
 
 def console_main() -> None:

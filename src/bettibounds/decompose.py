@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import gcd
 
 from .diagrams import BettiTable, _hk_values, deg_seq_lt, degree_sequence
-from .errors import DomainError, NotInBSCone
+from .errors import DomainError, NotInBSCone, shown
 
 #: {i: {j: (num, den)}}: each column's entries as reduced int pairs.
 _Columns = dict[int, dict[int, tuple[int, int]]]
@@ -183,7 +183,7 @@ def verify_decomposition(
     DomainError on any failure, or for a negative codim.
     """
     if codim is not None and codim < 0:
-        raise DomainError(f"codim must be nonnegative, got {codim}")
+        raise DomainError(f"codim must be nonnegative, got {shown(codim)}")
     for (_, a), (_, b) in zip(decomposition.terms, decomposition.terms[1:]):
         if not deg_seq_lt(a, b):
             raise DomainError(f"types {a} and {b} do not increase strictly")

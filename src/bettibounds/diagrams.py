@@ -24,7 +24,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, shown
 
 def degree_sequence(degrees: Iterable[int]) -> tuple[int, ...]:
     """Validate and normalize a degree sequence to a tuple of ints.
@@ -36,7 +36,8 @@ def degree_sequence(degrees: Iterable[int]) -> tuple[int, ...]:
         raise DomainError("a degree sequence must have at least one entry")
     for a, b in zip(d, d[1:]):
         if b <= a:
-            raise DomainError(f"degree sequence {d} is not strictly increasing")
+            raise DomainError(
+                f"degree sequence is not strictly increasing: {shown(a)} then {shown(b)}")
     return d
 
 

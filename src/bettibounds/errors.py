@@ -3,7 +3,32 @@
 Everything raised on bad mathematical input derives from :class:`BettiError`,
 so callers (and the CLI) can catch one base class.  Parse errors for the BT1
 table format are kept separate because they map to a different exit code.
+
+Messages show every value through :func:`shown`, so none echoes a text or
+formats a number longer than 40 characters.
 """
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of abs(n) (0 for 0), from its bit length and one power of 10."""
+    n = abs(n)
+    count = n.bit_length() * 30102999566398119522 // 10**20 + 1  # constant > log10(2)
+    return count - (n < 10 ** (count - 1))
+
+
+def shown(value) -> str:
+    """How a message shows ``value``: a text quoted and an int or a Fraction as
+    ``str`` gives it, or past 40 characters the text's length or the number's
+    digit counts, found without int->str."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"a text of {len(value)} characters"
+    num, den = value.as_integer_ratio()
+    top, bottom = _digits(num), _digits(den)
+    if (num < 0) + top + (den != 1) * (1 + bottom) <= 40:
+        return str(value)
+    if den == 1:
+        return f"<an integer of {top} digits>"
+    return f"<a fraction of {top}/{bottom} digits>"
 
 
 class BettiError(Exception):
@@ -39,11 +64,11 @@ class TooLarge(BettiError):
         self.n = n
         self.k = k
         self.digit_budget = digit_budget
-        self.factor = f"{n}**{k}" if power else f"C({n}, {k})"
+        self.factor = f"{shown(n)}**{shown(k)}" if power else f"C({shown(n)}, {shown(k)})"
 
     def __str__(self):
         return (f"{self.factor} exceeds the exact-arithmetic budget of "
-                f"{self.digit_budget} decimal digits; use the digit-bracket estimator")
+                f"{shown(self.digit_budget)} decimal digits; use the digit-bracket estimator")
 
 
 class TableFormatError(BettiError):

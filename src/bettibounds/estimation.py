@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, shown
 
 #: Default working precision (significant decimal digits).
 DEFAULT_PRECISION = 40
@@ -124,7 +124,7 @@ class VeroneseParams:
 def veronese_codim(n: int, d: int) -> VeroneseParams:
     """Codimension C(n+d, n) - n - 1 of the degree-d Veronese of n-space."""
     if n < 1 or d < 1:
-        raise DomainError(f"veronese_codim requires n, d >= 1, got ({n}, {d})")
+        raise DomainError(f"veronese_codim requires n, d >= 1, got ({shown(n)}, {shown(d)})")
     return VeroneseParams(n=n, d=d, codim=math.comb(n + d, n) - n - 1)
 
 
@@ -145,27 +145,27 @@ def _term(beta0: Fraction, top: int, base: int, power: int) -> _Term:
 def _pure_shape(n: int, r: int, i: int):
     """Pure diagrams of length n with last degree at most n + r."""
     if n < 1:
-        raise DomainError(f"sequence length must be at least 1, got {n}")
+        raise DomainError(f"sequence length must be at least 1, got {shown(n)}")
     if r < 0:
-        raise DomainError(f"row slack must be nonnegative, got {r}")
+        raise DomainError(f"row slack must be nonnegative, got {shown(r)}")
     if i < 0:
-        raise DomainError(f"column index must be nonnegative, got {i}")
+        raise DomainError(f"column index must be nonnegative, got {shown(i)}")
     return _term(_ONE, n, n, -r), _term(_ONE, n, n, r)
 
 
 def _module_shape(codim: int, pdim: int, reg: int, beta0, i: int):
     """A module generated in one degree, from its codim, pdim, reg and beta0."""
     if codim < 0:
-        raise DomainError(f"codim must be nonnegative, got {codim}")
+        raise DomainError(f"codim must be nonnegative, got {shown(codim)}")
     if pdim < codim:
-        raise DomainError(f"pdim ({pdim}) must be at least codim ({codim})")
+        raise DomainError(f"pdim ({shown(pdim)}) must be at least codim ({shown(codim)})")
     if reg < 0:
-        raise DomainError(f"regularity must be nonnegative, got {reg}")
+        raise DomainError(f"regularity must be nonnegative, got {shown(reg)}")
     beta0 = Fraction(beta0)
     if beta0 <= 0:
-        raise DomainError(f"beta0 must be positive, got {beta0}")
+        raise DomainError(f"beta0 must be positive, got {shown(beta0)}")
     if i < 0:
-        raise DomainError(f"column index must be nonnegative, got {i}")
+        raise DomainError(f"column index must be nonnegative, got {shown(i)}")
     return _term(beta0, codim, codim, -reg), _term(beta0, pdim, pdim, reg)
 
 
@@ -173,20 +173,20 @@ def _veronese_shape(n: int, d: int, i: int):
     """The degree-d Veronese of n-space: codim = pdim = N, reg <= n."""
     big_n = veronese_codim(n, d).codim
     if not 0 <= i <= big_n:
-        raise DomainError(f"column index must lie in [0, {big_n}], got {i}")
+        raise DomainError(f"column index must lie in [0, {shown(big_n)}], got {shown(i)}")
     return _term(_ONE, big_n, big_n, -n), _term(_ONE, big_n, big_n, n)
 
 
 def _variety_shape(dim_l: int, dim_x: int, reg: int, i: int):
     """A variety X embedded by a complete linear system L."""
     if dim_l < 1:
-        raise DomainError(f"dim_l must be positive, got {dim_l}")
+        raise DomainError(f"dim_l must be positive, got {shown(dim_l)}")
     if not 0 <= dim_x <= dim_l:
-        raise DomainError(f"dim_x must lie in [0, {dim_l}], got {dim_x}")
+        raise DomainError(f"dim_x must lie in [0, {shown(dim_l)}], got {shown(dim_x)}")
     if reg < 0:
-        raise DomainError(f"regularity must be nonnegative, got {reg}")
+        raise DomainError(f"regularity must be nonnegative, got {shown(reg)}")
     if i < 0:
-        raise DomainError(f"column index must be nonnegative, got {i}")
+        raise DomainError(f"column index must be nonnegative, got {shown(i)}")
     return _term(_ONE, dim_l - dim_x, dim_l, -reg), _term(_ONE, dim_l, dim_l, reg)
 
 
@@ -308,7 +308,8 @@ def _digit_bracket(terms, i: int, prec: int, paper_constants: bool) -> DigitBrac
     """
     lower, upper = terms
     if i > lower.top:
-        raise DomainError(f"column index {i} exceeds {lower.top}; the lower bound is zero")
+        raise DomainError(
+            f"column index {shown(i)} exceeds {shown(lower.top)}; the lower bound is zero")
     lo10, hi10 = _log10_bracket(lower, upper, i, prec, paper_constants)
     return DigitBracket(int(lo10.to_integral_value(rounding=ROUND_FLOOR)),
                         int(hi10.to_integral_value(rounding=ROUND_CEILING)))

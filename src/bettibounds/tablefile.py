@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from .diagrams import BettiTable
-from .errors import TableFormatError
+from .errors import TableFormatError, shown
 
 HEADER = "BT1"
 
@@ -33,11 +33,6 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 class _NotAnInteger(TableFormatError):
     """Text outside the integer grammar, as against an integer past the limit."""
-
-
-def shown(text: str) -> str:
-    """``text`` quoted, or past 40 characters its length: no message echoes a long input."""
-    return repr(text) if len(text) <= 40 else f"a text of {len(text)} characters"
 
 
 def parse_integer(text: str) -> int:

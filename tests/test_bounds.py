@@ -21,6 +21,7 @@ from bettibounds import (
     veronese_codim,
 )
 from bettibounds.bounds import ensure_binomial_budget
+from bettibounds.errors import shown
 from conftest import enumerate_pure_sequences, pascal_binomial
 
 
@@ -62,7 +63,7 @@ def test_power_factor_is_budgeted():
 
 
 def test_too_large_is_built_only_when_raised(monkeypatch):
-    # building one renders the digits of its factor, which costs as much as N is long
+    # building one formats its factor, or counts the digits of a long one
     built = []
     init = TooLarge.__init__
 
@@ -139,6 +140,27 @@ def test_too_large_pickles():
             f"{factor} exceeds the exact-arithmetic budget of {error.digit_budget} "
             "decimal digits; use the digit-bracket estimator"
         )
+
+
+@pytest.mark.parametrize("k", [1, 39, 40, 41, 4400])
+def test_shown_is_the_text_up_to_40_characters_then_its_size(k):
+    for n, digits in [(10**k - 1, k), (10**k, k + 1), (1 - 10**k, k)]:
+        expected = str(n) if digits + (n < 0) <= 40 else f"<an integer of {digits} digits>"
+        assert shown(n) == expected
+    assert shown(Fraction(-7, 3)) == "-7/3"
+    assert shown(Fraction(7, 10**k)) == (
+        f"7/{10**k}" if k < 39 else f"<a fraction of 1/{k + 1} digits>")
+    text = "7" * k
+    assert shown(text) == (repr(text) if k <= 40 else f"a text of {k} characters")
+
+
+def test_too_large_names_a_long_factor_by_its_digit_count():
+    error = TooLarge(10**4400, 3, 10**50)
+    assert error.factor == "C(<an integer of 4401 digits>, 3)"
+    assert str(error) == ("C(<an integer of 4401 digits>, 3) exceeds the exact-arithmetic "
+                          "budget of <an integer of 51 digits> decimal digits; "
+                          "use the digit-bracket estimator")
+    assert TooLarge(7, 10**40, 5, power=True).factor == "7**<an integer of 41 digits>"
 
 
 # -- pure-diagram bounds ------------------------------------------------------

@@ -187,14 +187,13 @@ def test_decompose_parse_failures(capsys, tmp_path):
 def test_value_past_the_int_limit_is_a_parse_error(capsys, tmp_path):
     if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
         pytest.skip("this interpreter has no int->str conversion limit")
-    # main reads the file under the caller's limit, before it widens the limit
-    # to 2 * 10**6 + 4300 digits for the output
+    # main reads the file under the caller's limit, which it lifts only to print
     big = tmp_path / "big.bt1"
     big.write_text(f"BT1\n0 0 {'7' * 2100000}\n")
     code, out, err = run(capsys, "decompose", str(big))
     assert (code, out) == (1, "")
     assert err.startswith("betti: ") and err.count("\n") == 1 and "7777" not in err
-    # --beta0 is parsed before main widens the limit
+    # --beta0 is parsed under the caller's limit as well
     beta0 = "7" * (sys.get_int_max_str_digits() + 1)
     argv = ("bounds", "module", "--codim", "2", "--pdim", "4", "--reg", "1", "-i", "2")
     code, out, err = run(capsys, *argv, "--beta0", beta0)
@@ -635,6 +634,28 @@ def test_numbers_outside_the_grammar_are_usage_errors(capsys, argv):
     assert err.startswith("betti") and err.count("\n") == 1 and len(err.encode()) < 300
 
 
+LONG = "1" + "0" * 4000  # a message that echoed it wrote 4,039 to 4,083 bytes
+
+#: Argvs in the grammar whose domain message names a 4,001-digit value, with
+#: their exit code: 1 for ``pure``, whose degrees are checked while parsing.
+ECHOED_BY_A_DOMAIN_MESSAGE = [
+    (("bounds", "pure", "-N", "-" + LONG, "-r", "0", "-i", "1"), 2),
+    ((*EXACT_ARGV["module"][:-1], "-" + LONG), 2),
+    (("bounds", "variety", "--dim-l", "5", "--dim-x", LONG, "--reg", "1", "-i", "2"), 2),
+    (("bounds", "veronese", "-n", "2", "-d", "5", "-i", LONG), 2),
+    (("dim-l", "-m", "-" + LONG, "--delta", "1", "-e", "1"), 2),
+    (("pure", f"5,{LONG},3"), 1),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code", ECHOED_BY_A_DOMAIN_MESSAGE)
+def test_domain_messages_name_a_long_integer_by_its_digit_count(capsys, argv, exit_code):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (exit_code, "")
+    assert err.startswith("betti") and err.count("\n") == 1 and len(err.encode()) < 300
+    assert "integer of 4001 digits" in err
+
+
 def test_a_negative_rational_is_a_value_not_an_option(capsys):
     # argparse's own matcher takes -15/3 for an option; the parser's reads it as -5
     expected = run(capsys, *EXACT_ARGV["module"], "--beta0", "-5")
@@ -761,13 +782,80 @@ def test_main_leaves_the_int_str_limit_as_it_found_it(capsys):
 
 @pytest.mark.parametrize("budget", ["1073739674", str(10**20)])
 def test_huge_budget_gives_the_answer_of_the_default_budget(capsys, budget):
-    # 2 * budget + 4300 is at least 2**31, past what sys.set_int_max_str_digits accepts
+    # budgets near and past 2**31 digits, which no C int limit could hold, size
+    # only the exact factors and leave the caller's int->str limit alone
     argv = ("bounds", "pure", "-N", "5", "-r", "1", "-i", "2")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     expected = run(capsys, *argv)
     assert expected[0] == 0
     assert run(capsys, *argv, "--max-exact-digits", budget) == expected
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+@contextlib.contextmanager
+def int_str_limit(digits):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+D_2200 = 10**2200  # the Veronese codimension N = C(D + 2, 2) - 3 has 4,400 digits
+N_4400 = math.comb(D_2200 + 2, 2) - 3
+VERONESE_4400 = ("bounds", "veronese", "-n", "2", "-d", "1" + "0" * 2200)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int->str limit")
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_a_4400_digit_codimension_is_answered_under_the_default_limit(capsys, fmt):
+    runs = {}
+    with int_str_limit(4300):
+        for flags in (("-i", "0", "--max-exact-digits", "10"),
+                      ("-i", "3", "--max-exact-digits", "10", "--estimate"),
+                      ("-i", "-1")):
+            runs[flags[1]] = run(capsys, *VERONESE_4400, *flags, "--format", fmt)
+            assert sys.get_int_max_str_digits() == 4300
+    assert not any("Traceback" in err for _, _, err in runs.values())
+    note = ("<an integer of 4400 digits>**2 exceeds the digit budget of 10 digits; "
+            "estimated instead")
+    code, out, err = runs["0"]
+    assert (code, err) == (0, "")
+    code, out, err = runs["3"]
+    assert (code, err) == (0, "")
+    code, out, err = runs["-1"]
+    assert (code, out) == (2, "")
+    assert err == "betti: column index must lie in [0, <an integer of 4400 digits>], got -1\n"
+    with int_str_limit(0):
+        if fmt == "text":
+            assert runs["0"][1].splitlines()[:2] == [f"N = {N_4400}", note]
+            assert runs["3"][1].startswith(f"N = {N_4400}\nexp_lo = ")
+        else:
+            results = json.loads(runs["0"][1])["results"]
+            assert (results["N"], results["mode"], results["note"]) == (N_4400, "estimate", note)
+            results = json.loads(runs["3"][1])["results"]
+            assert (results["N"], results["mode"]) == (N_4400, "estimate")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int->str limit")
+def test_commands_compute_under_the_callers_limit_and_print_without_one(capsys, monkeypatch):
+    seen = []
+
+    def recording(real):
+        def wrapper(*args):
+            seen.append(sys.get_int_max_str_digits())
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli.bounds_mod, "hypersurface_dim_l",
+                        recording(cli.bounds_mod.hypersurface_dim_l))
+    monkeypatch.setattr(cli, "format_diagram", recording(cli.format_diagram))
+    with int_str_limit(5000):
+        assert run(capsys, "dim-l", "-m", "3", "--delta", "13", "-e", "1000")[0] == 0
+        assert run(capsys, "pure", "0,2,4,5")[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+    assert seen == [5000, 0]
 
 
 def test_build_parser_is_built_once():
