@@ -25,10 +25,11 @@ digit brackets of :mod:`bettibounds.estimation`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, TooLarge, shown
+from .errors import DomainError, TooLarge, rational, shown
 from .estimation import DEFAULT_PRECISION, _ONE, _Term, _log10_bracket
 from .estimation import _module_shape, _pure_shape, _variety_shape, _veronese_shape
 
@@ -45,13 +46,14 @@ class BoundPair:
 
     def __post_init__(self):
         if self.lower > self.upper:
-            raise DomainError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
+            raise DomainError(
+                f"lower bound {shown(self.lower)} exceeds upper bound {shown(self.upper)}")
 
     def __iter__(self):
         return iter((self.lower, self.upper))
 
     def contains(self, value) -> bool:
-        return self.lower <= Fraction(value) <= self.upper
+        return self.lower <= rational(value) <= self.upper
 
 
 def _within_budget(factor: _Term, i: int, digit_budget: int) -> int:
@@ -60,21 +62,24 @@ def _within_budget(factor: _Term, i: int, digit_budget: int) -> int:
     Raises TooLarge naming the factor unless x has at most digit_budget
     digits, that is x < 10**digit_budget.
 
-    The bit bound x < 2**bits settles most cases.  The others go to the
-    factor's base-10 enclosure, at a precision that grows with its top; only
-    when it straddles digit_budget is x computed and compared with
-    10**digit_budget.  The decision is always exact.
+    The bit bounds 2**low <= x < 2**bits settle most cases, the lower one
+    from C(top, j) >= (top/j)**j.  The others go to the factor's base-10
+    enclosure, at a precision that grows with its top; only when it straddles
+    digit_budget is x computed and compared with 10**digit_budget.  The
+    decision is always exact.
     """
     top, base, power = factor.top, factor.base, factor.power
     j = min(i, top - i)
     bits = min(top, j * top.bit_length()) + power * base.bit_length()
     if bits * 30103 // 10**5 < digit_budget:  # 0.30103 > log10(2)
         return math.comb(top, j) * base**power
-    lo, hi = _log10_bracket(factor, factor, j, DEFAULT_PRECISION + top.bit_length() // 3)
-    if lo < digit_budget:
-        value = math.comb(top, j) * base**power
-        if hi < digit_budget or value < 10**digit_budget:
-            return value
+    low = j * max(0, top.bit_length() - 1 - j.bit_length()) + power * (base.bit_length() - 1)
+    if low * 30102999566398119521 // 10**20 < digit_budget:  # constant < log10(2)
+        lo, hi = _log10_bracket(factor, factor, j, DEFAULT_PRECISION + top.bit_length() // 3)
+        if lo < digit_budget:
+            value = math.comb(top, j) * base**power
+            if hi < digit_budget or value < 10**digit_budget:
+                return value
     if top:
         raise TooLarge(top, i, digit_budget)
     raise TooLarge(base, power, digit_budget, power=True)
@@ -84,6 +89,7 @@ def ensure_binomial_budget(n: int, k: int, digit_budget: int) -> int:
     """Exact C(n, k) (0 when k < 0 or k > n), or TooLarge when it has more
     than digit_budget decimal digits.  The decision is always exact.
     """
+    n, k, digit_budget = map(operator.index, (n, k, digit_budget))
     if not 0 < k < n:
         return int(0 <= k <= n)
     return _within_budget(_Term(_ONE, n, 1, 0), k, digit_budget)
@@ -91,12 +97,14 @@ def ensure_binomial_budget(n: int, k: int, digit_budget: int) -> int:
 
 def _bound_pair(terms: tuple[_Term, _Term], i: int, digit_budget: int) -> BoundPair:
     """The exact values at column i of the (lower, upper) terms of a
-    ``_<target>_shape`` function of :mod:`bettibounds.estimation`.
+    ``_<target>_shape`` function of :mod:`bettibounds.estimation`, which also
+    gives the column index i.
 
     The budget guards the upper term's binomial and power; the lower term's
     are never larger, since lower.top <= upper.top and lower.base <= upper.base.
     """
     lower, upper = terms
+    digit_budget = operator.index(digit_budget)
     upper_binomial = ensure_binomial_budget(upper.top, i, digit_budget)
     if upper_binomial == 0:  # then C(lower.top, i) = 0 as well
         return BoundPair(Fraction(0), Fraction(0))
@@ -114,7 +122,7 @@ def pure_bounds(n: int, r: int, i: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
     at most n + r.  Exact rationals; i above n yields (0, 0).  Raises
     TooLarge when C(n, i) or n**r would exceed the digit budget.
     """
-    return _bound_pair(_pure_shape(n, r, i), i, digit_budget)
+    return _bound_pair(*_pure_shape(n, r, i), digit_budget)
 
 
 def extremal_sequences(
@@ -133,12 +141,13 @@ def extremal_sequences(
 
     Returns (d_min, d_max).
     """
+    n, r, i, a = map(operator.index, (n, r, i, a))
     if n < 1:
-        raise DomainError(f"sequence length must be at least 1, got {n}")
+        raise DomainError(f"sequence length must be at least 1, got {shown(n)}")
     if not 0 <= a <= r:
-        raise DomainError(f"offset a must lie in [0, {r}], got {a}")
+        raise DomainError(f"offset a must lie in [0, {shown(r)}], got {shown(a)}")
     if not 1 <= i <= n:
-        raise DomainError(f"column index must lie in [1, {n}], got {i}")
+        raise DomainError(f"column index must lie in [1, {shown(n)}], got {shown(i)}")
     d_max = tuple([0] + [a + k for k in range(1, n + 1)])
     d_min = tuple(list(range(i)) + [i + a] + list(range(i + r + 1, n + r + 1)))
     return d_min, d_max
@@ -157,7 +166,7 @@ def algebraic_bounds(
     pdim**reg as 1.  Indices above pdim yield (0, 0).  Raises TooLarge when
     C(pdim, i) or pdim**reg would exceed the digit budget.
     """
-    return _bound_pair(_module_shape(codim, pdim, reg, beta0, i), i, digit_budget)
+    return _bound_pair(*_module_shape(codim, pdim, reg, beta0, i), digit_budget)
 
 
 def veronese_bounds(
@@ -171,7 +180,7 @@ def veronese_bounds(
     DomainError when i lies outside [0, N].  The degenerate embedding
     (n = d = 1, N = 0) follows the free-module conventions.
     """
-    return _bound_pair(_veronese_shape(n, d, i), i, digit_budget)
+    return _bound_pair(*_veronese_shape(n, d, i), digit_budget)
 
 
 def variety_bounds(
@@ -186,7 +195,7 @@ def variety_bounds(
     the variety and reg the regularity of its coordinate ring.  Raises
     TooLarge when C(dim_l, i) or dim_l**reg would exceed the digit budget.
     """
-    return _bound_pair(_variety_shape(dim_l, dim_x, reg, i), i, digit_budget)
+    return _bound_pair(*_variety_shape(dim_l, dim_x, reg, i), digit_budget)
 
 
 def hypersurface_dim_l(m: int, delta: int, e: int) -> int:
@@ -198,6 +207,7 @@ def hypersurface_dim_l(m: int, delta: int, e: int) -> int:
     e >= delta >= 1, C(e+m, m) - C(e-delta+m, m) >= C(e+m-1, m-1) >= 1, and
     for e < delta the value is C(e+m, m) - 1 >= m.
     """
+    m, delta, e = map(operator.index, (m, delta, e))
     if m < 1 or delta < 1 or e < 1:
         raise DomainError(f"hypersurface_dim_l requires m, delta, e >= 1, "
                           f"got ({shown(m)}, {shown(delta)}, {shown(e)})")
@@ -211,8 +221,10 @@ def check_rising_factorial_bound(n: int, i: int, a: int) -> bool:
     Holds for all n >= 1, 1 <= i <= n, a >= 0; it is the inequality behind
     the upper bound of :func:`pure_bounds`.
     """
+    n, i, a = map(operator.index, (n, i, a))
     if n < 1 or not 1 <= i <= n or a < 0:
-        raise DomainError(f"need n >= 1, 1 <= i <= n, a >= 0; got ({n}, {i}, {a})")
+        raise DomainError(
+            f"need n >= 1, 1 <= i <= n, a >= 0; got ({shown(n)}, {shown(i)}, {shown(a)})")
     return math.comb(n + a, a) * i <= n**a * (i + a)
 
 
@@ -221,6 +233,7 @@ def check_descending_factorial_bound(a: int, b: int) -> bool:
 
     The companion inequality behind the lower bound of :func:`pure_bounds`.
     """
+    a, b = operator.index(a), operator.index(b)
     if a < 0 or b < 0:
-        raise DomainError(f"need a, b >= 0; got ({a}, {b})")
+        raise DomainError(f"need a, b >= 0; got ({shown(a)}, {shown(b)})")
     return math.comb(a + b, b) <= (a + 1) ** b

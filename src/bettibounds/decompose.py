@@ -36,12 +36,13 @@ than trusting the peel's.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .diagrams import BettiTable, _hk_values, deg_seq_lt, degree_sequence
-from .errors import DomainError, NotInBSCone, shown
+from .errors import DomainError, NotInBSCone, rational, shown
 
 #: {i: {j: (num, den)}}: each column's entries as reduced int pairs.
 _Columns = dict[int, dict[int, tuple[int, int]]]
@@ -74,9 +75,9 @@ class Decomposition:
         """
         total: dict[tuple[int, int], tuple[int, int]] = {}
         for c, d in self.terms:
-            c = Fraction(c)
+            c = rational(c)
             if c <= 0:
-                raise DomainError(f"coefficient {c} is not positive")
+                raise DomainError(f"coefficient {shown(c)} is not positive")
             d = degree_sequence(d)
             cn, cd = c.numerator, c.denominator
             for i, (di, (bn, bd)) in enumerate(zip(d, _hk_values(d))):
@@ -107,15 +108,14 @@ def _minima(columns: _Columns) -> tuple[int, ...]:
     for i in range(max(columns) + 1):
         column = columns.get(i)
         if column is None:
-            raise NotInBSCone(
-                "gap column", f"column {i} is empty but lies below the projective dimension"
-            )
+            raise NotInBSCone("gap column", f"column {shown(i)} is empty but lies below "
+                              "the projective dimension")
         minima.append(next(iter(column)))
     for a, b in zip(minima, minima[1:]):
         if b <= a:
             raise NotInBSCone(
                 "minima not increasing",
-                f"column minima {tuple(minima)} are not strictly increasing",
+                f"column minima {shown(tuple(minima))} are not strictly increasing",
             )
     return tuple(minima)
 
@@ -182,18 +182,19 @@ def verify_decomposition(
     length between codim and the projective dimension of the table.  Raises
     DomainError on any failure, or for a negative codim.
     """
+    codim = None if codim is None else operator.index(codim)
     if codim is not None and codim < 0:
         raise DomainError(f"codim must be nonnegative, got {shown(codim)}")
     for (_, a), (_, b) in zip(decomposition.terms, decomposition.terms[1:]):
-        if not deg_seq_lt(a, b):
-            raise DomainError(f"types {a} and {b} do not increase strictly")
+        if not deg_seq_lt(a, b):  # which reads both through operator.index
+            raise DomainError(
+                f"types {shown(tuple(a))} and {shown(tuple(b))} do not increase strictly")
     if decomposition.reconstruct() != table:
         raise DomainError("reconstruction does not reproduce the table")
     if codim is not None:
         pdim = table.pdim
-        for _, d in decomposition:
+        for _, d in decomposition:  # each a degree sequence, as reconstruct found
             length = len(d) - 1
             if not codim <= length <= pdim:
-                raise DomainError(
-                    f"type {d} has length {length}, outside [{codim}, {pdim}]"
-                )
+                raise DomainError(f"type {shown(tuple(d))} has length {shown(length)}, "
+                                  f"outside [{shown(codim)}, {shown(pdim)}]")

@@ -24,7 +24,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DomainError, shown
+from .errors import DomainError, rational, shown
 
 def degree_sequence(degrees: Iterable[int]) -> tuple[int, ...]:
     """Validate and normalize a degree sequence to a tuple of ints.
@@ -47,14 +47,13 @@ def deg_seq_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     Holds iff len(a) >= len(b) and a_k <= b_k for every shared index k.
     Longer sequences sit below shorter ones; e.g. (0,3,5,6) <= (0,3,5).
     """
-    if len(a) < len(b):
-        return False
-    return all(x <= y for x, y in zip(a, b))
+    a, b = list(map(operator.index, a)), list(map(operator.index, b))
+    return len(a) >= len(b) and all(map(operator.le, a, b))
 
 
 def deg_seq_lt(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """Strict version of :func:`deg_seq_leq`."""
-    return a != b and deg_seq_leq(a, b)
+    return deg_seq_leq(a, b) and tuple(a) != tuple(b)
 
 
 class BettiTable:
@@ -73,10 +72,11 @@ class BettiTable:
             for key, raw in entries.items():
                 i, j = map(operator.index, key)
                 if i < 0:
-                    raise DomainError(f"homological index must be nonnegative, got {i}")
-                value = Fraction(raw)
+                    raise DomainError(f"homological index must be nonnegative, got {shown(i)}")
+                value = rational(raw)
                 if value < 0:
-                    raise DomainError(f"entry at ({i}, {j}) must be positive, got {value}")
+                    raise DomainError(f"entry at ({shown(i)}, {shown(j)}) must be positive, "
+                                      f"got {shown(value)}")
                 if value == 0:
                     continue  # absence encodes zero
                 data[i, j] = value
@@ -181,26 +181,32 @@ def pure_diagram(degrees: Iterable[int]) -> BettiTable:
     )
 
 
+#: Longest run of empty rows that ``format_diagram`` prints row by row.
+_FOLD = 40
+
+
 def format_diagram(table: BettiTable) -> str:
     """Render a table in Betti-diagram layout.
 
     Rows are indexed by j - i, columns by i; absent entries print as ``.``.
+    A run of more than 40 empty rows prints as one line, ``(<count> empty
+    rows)``, so the text grows with the entries, not with the degrees.
     """
     if not table:
         return "(empty table)"
     cols = range(table.pdim + 1)
-    row_lo = min(j - i for i, j in table)
-    row_hi = table.reg
-    header = [""] + [str(i) for i in cols]
-    rows = [header]
-    for r in range(row_lo, row_hi + 1):
-        cells = [f"{r}:"]
-        for i in cols:
-            v = table[i, i + r]
-            cells.append(str(v) if v else ".")
-        rows.append(cells)
-    widths = [max(len(row[c]) for row in rows) for c in range(len(cols) + 1)]
+    used = sorted({j - i for i, j in table})
+    rows = [[""] + [str(i) for i in cols]]
+    for r, after in zip(used, used[1:] + [used[-1] + 1]):
+        rows.append([f"{r}:"] + [str(table[i, i + r] or ".") for i in cols])
+        if after - r - 1 > _FOLD:
+            rows.append(f"({after - r - 1} empty rows)")
+        else:
+            rows += [[f"{e}:"] + ["."] * len(cols) for e in range(r + 1, after)]
+    widths = [max(len(row[c]) for row in rows if isinstance(row, list))
+              for c in range(len(cols) + 1)]
     return "\n".join(
+        row if isinstance(row, str) else
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip()
         for row in rows
     )

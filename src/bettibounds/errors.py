@@ -4,9 +4,15 @@ Everything raised on bad mathematical input derives from :class:`BettiError`,
 so callers (and the CLI) can catch one base class.  Parse errors for the BT1
 table format are kept separate because they map to a different exit code.
 
-Messages show every value through :func:`shown`, so none echoes a text or
-formats a number longer than 40 characters.
+The library boundary has one rule, kept here: an integer argument is read with
+``operator.index`` and a rational one with :func:`rational`, so a float or a
+text is a ``TypeError`` and never parsed or truncated.  Messages show every
+value through :func:`shown`, so none echoes a text or formats a number longer
+than 40 characters.
 """
+
+from fractions import Fraction
+from numbers import Rational
 
 
 def _digits(n: int) -> int:
@@ -16,12 +22,24 @@ def _digits(n: int) -> int:
     return count - (n < 10 ** (count - 1))
 
 
+def rational(value) -> Fraction:
+    """``value`` as a Fraction if it is an int or a Fraction; TypeError otherwise."""
+    if isinstance(value, Fraction):
+        return value
+    if not isinstance(value, Rational):
+        raise TypeError(f"expected an int or a Fraction, got {type(value).__name__}")
+    return Fraction(value)
+
+
 def shown(value) -> str:
-    """How a message shows ``value``: a text quoted and an int or a Fraction as
-    ``str`` gives it, or past 40 characters the text's length or the number's
-    digit counts, found without int->str."""
+    """How a message shows ``value``: a text quoted and an int, a Fraction or a
+    tuple of ints as ``str`` gives it, or past 40 characters the text's length,
+    the number's digit counts or the tuple's length, found without int->str."""
     if isinstance(value, str):
         return repr(value) if len(value) <= 40 else f"a text of {len(value)} characters"
+    if isinstance(value, tuple):  # str: each entry and ", ", the last ", " standing for "()"
+        width = sum((x < 0) + (_digits(x) or 1) + 2 for x in value) + (len(value) == 1)
+        return str(value) if width <= 40 else f"<a tuple of length {len(value)}>"
     num, den = value.as_integer_ratio()
     top, bottom = _digits(num), _digits(den)
     if (num < 0) + top + (den != 1) * (1 + bottom) <= 40:

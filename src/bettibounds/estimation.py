@@ -36,7 +36,8 @@ ln(upper) by ln 10.  Precision is always an explicit argument; nothing here
 mutates global decimal state, and all functions are pure.
 
 Each ``_<target>_shape`` function checks the arguments of one bound target
-and returns its (lower, upper) pair of terms.  :mod:`bettibounds.bounds`
+and returns its (lower, upper) pair of terms with the column index i, both
+read through ``operator.index``.  :mod:`bettibounds.bounds`
 evaluates the same terms exactly and decides its digit budget from their
 base-10 enclosure, so its exact bounds and these digit brackets accept the
 same inputs; it imports this module, never the reverse.
@@ -45,13 +46,14 @@ same inputs; it imports this module, never the reverse.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DomainError, shown
+from .errors import DomainError, rational, shown
 
 #: Default working precision (significant decimal digits).
 DEFAULT_PRECISION = 40
@@ -97,7 +99,8 @@ class DigitBracket:
 
     def __post_init__(self):
         if self.exp_lo > self.exp_hi:
-            raise DomainError(f"exponents out of order: [{self.exp_lo}, {self.exp_hi}]")
+            raise DomainError(
+                f"exponents out of order: [{shown(self.exp_lo)}, {shown(self.exp_hi)}]")
 
     @property
     def digits_lo(self) -> int:
@@ -120,9 +123,11 @@ class VeroneseParams:
     codim: int
 
 
-@lru_cache(maxsize=1)  # a bounds command needs N up to three times
+# A bounds command needs N up to three times; typed, so that (2.0, 5) misses (2, 5).
+@lru_cache(maxsize=1, typed=True)
 def veronese_codim(n: int, d: int) -> VeroneseParams:
     """Codimension C(n+d, n) - n - 1 of the degree-d Veronese of n-space."""
+    n, d = operator.index(n), operator.index(d)
     if n < 1 or d < 1:
         raise DomainError(f"veronese_codim requires n, d >= 1, got ({shown(n)}, {shown(d)})")
     return VeroneseParams(n=n, d=d, codim=math.comb(n + d, n) - n - 1)
@@ -144,41 +149,45 @@ def _term(beta0: Fraction, top: int, base: int, power: int) -> _Term:
 
 def _pure_shape(n: int, r: int, i: int):
     """Pure diagrams of length n with last degree at most n + r."""
+    n, r, i = map(operator.index, (n, r, i))
     if n < 1:
         raise DomainError(f"sequence length must be at least 1, got {shown(n)}")
     if r < 0:
         raise DomainError(f"row slack must be nonnegative, got {shown(r)}")
     if i < 0:
         raise DomainError(f"column index must be nonnegative, got {shown(i)}")
-    return _term(_ONE, n, n, -r), _term(_ONE, n, n, r)
+    return (_term(_ONE, n, n, -r), _term(_ONE, n, n, r)), i
 
 
 def _module_shape(codim: int, pdim: int, reg: int, beta0, i: int):
     """A module generated in one degree, from its codim, pdim, reg and beta0."""
+    codim, pdim, reg, i = map(operator.index, (codim, pdim, reg, i))
     if codim < 0:
         raise DomainError(f"codim must be nonnegative, got {shown(codim)}")
     if pdim < codim:
         raise DomainError(f"pdim ({shown(pdim)}) must be at least codim ({shown(codim)})")
     if reg < 0:
         raise DomainError(f"regularity must be nonnegative, got {shown(reg)}")
-    beta0 = Fraction(beta0)
+    beta0 = rational(beta0)
     if beta0 <= 0:
         raise DomainError(f"beta0 must be positive, got {shown(beta0)}")
     if i < 0:
         raise DomainError(f"column index must be nonnegative, got {shown(i)}")
-    return _term(beta0, codim, codim, -reg), _term(beta0, pdim, pdim, reg)
+    return (_term(beta0, codim, codim, -reg), _term(beta0, pdim, pdim, reg)), i
 
 
 def _veronese_shape(n: int, d: int, i: int):
     """The degree-d Veronese of n-space: codim = pdim = N, reg <= n."""
-    big_n = veronese_codim(n, d).codim
+    params, i = veronese_codim(n, d), operator.index(i)
+    big_n, n = params.codim, params.n
     if not 0 <= i <= big_n:
         raise DomainError(f"column index must lie in [0, {shown(big_n)}], got {shown(i)}")
-    return _term(_ONE, big_n, big_n, -n), _term(_ONE, big_n, big_n, n)
+    return (_term(_ONE, big_n, big_n, -n), _term(_ONE, big_n, big_n, n)), i
 
 
 def _variety_shape(dim_l: int, dim_x: int, reg: int, i: int):
     """A variety X embedded by a complete linear system L."""
+    dim_l, dim_x, reg, i = map(operator.index, (dim_l, dim_x, reg, i))
     if dim_l < 1:
         raise DomainError(f"dim_l must be positive, got {shown(dim_l)}")
     if not 0 <= dim_x <= dim_l:
@@ -187,13 +196,15 @@ def _variety_shape(dim_l: int, dim_x: int, reg: int, i: int):
         raise DomainError(f"regularity must be nonnegative, got {shown(reg)}")
     if i < 0:
         raise DomainError(f"column index must be nonnegative, got {shown(i)}")
-    return _term(_ONE, dim_l - dim_x, dim_l, -reg), _term(_ONE, dim_l, dim_l, reg)
+    return (_term(_ONE, dim_l - dim_x, dim_l, -reg), _term(_ONE, dim_l, dim_l, reg)), i
 
 
 def _contexts(prec: int) -> tuple[Context, Context]:
-    """(round-down, round-up) contexts at prec plus guard digits."""
+    """(round-down, round-up) contexts at prec plus guard digits; the one
+    check of every precision argument."""
+    prec = operator.index(prec)
     if prec < 1:
-        raise DomainError(f"precision must be a positive integer, got {prec}")
+        raise DomainError(f"precision must be a positive integer, got {shown(prec)}")
     work = prec + _GUARD_DIGITS
     return (
         Context(prec=work, rounding=ROUND_FLOOR),
@@ -234,8 +245,10 @@ def log_factorial_bracket(c: int, prec: int = DEFAULT_PRECISION) -> LogBracket:
 
     [c ln c - c + 1, (c+1) ln(c+1) - c] for c >= 1; [0, 0] for c = 0.
     """
+    c = operator.index(c)
     if c < 0:
-        raise DomainError(f"factorial argument must be nonnegative, got {c}")
+        raise DomainError(f"factorial argument must be nonnegative, got {shown(c)}")
+    _contexts(prec)  # checks prec, which c = 0 does not reach
     if c == 0:
         return LogBracket(_ZERO, _ZERO)
     return LogBracket(_log_sum([(c, c)], 1 - c, prec, False),
@@ -269,10 +282,11 @@ def log_binomial_bracket(
     both endpoints shift by +1, reproducing the unshifted textbook constants
     (not sound for small i).
     """
+    n, i = operator.index(n), operator.index(i)
     if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+        raise DomainError(f"need n >= 1, got {shown(n)}")
     if not 0 <= i <= n:
-        raise DomainError(f"column index must lie in [0, {n}], got {i}")
+        raise DomainError(f"column index must lie in [0, {shown(n)}], got {shown(i)}")
     term = _Term(_ONE, n, 1, 0)
     return LogBracket(*(_log_term(term, i, prec, up, paper_constants) for up in (False, True)))
 
@@ -282,12 +296,12 @@ def exact_log_binomial(n: int, i: int, prec: int = DEFAULT_PRECISION) -> LogBrac
 
     Oracle-grade but limited to n <= 10**5.
     """
+    n, i = operator.index(n), operator.index(i)
     if n > _EXACT_BINOMIAL_LIMIT:
         raise DomainError(f"exact_log_binomial is limited to n <= {_EXACT_BINOMIAL_LIMIT}")
     if n < 0 or not 0 <= i <= n:
-        raise DomainError(f"column index must lie in [0, {n}], got {i}")
-    if prec < 1:
-        raise DomainError(f"precision must be a positive integer, got {prec}")
+        raise DomainError(f"column index must lie in [0, {shown(n)}], got {shown(i)}")
+    _contexts(prec)  # checks prec, as every bracket does
     return LogBracket(*_ln_enclosure(math.comb(n, i), prec))
 
 
@@ -303,8 +317,9 @@ def _log10_bracket(lower: _Term, upper: _Term, i: int, prec: int, paper_constant
 
 def _digit_bracket(terms, i: int, prec: int, paper_constants: bool) -> DigitBracket:
     """Certifies 10**exp_lo <= lower and upper <= 10**exp_hi at column i, for
-    the (lower, upper) terms of a ``_<target>_shape`` function.  Requires
-    i <= lower.top: otherwise the lower bound is zero and has no digit count.
+    the (lower, upper) terms and the i of a ``_<target>_shape`` function.
+    Requires i <= lower.top: otherwise the lower bound is zero and has no
+    digit count.
     """
     lower, upper = terms
     if i > lower.top:
@@ -324,7 +339,7 @@ def pure_digit_bracket(
     Requires i <= n (otherwise the lower bound is zero and has no digit
     count).
     """
-    return _digit_bracket(_pure_shape(n, r, i), i, prec, paper_constants)
+    return _digit_bracket(*_pure_shape(n, r, i), prec, paper_constants)
 
 
 def algebraic_digit_bracket(
@@ -337,7 +352,7 @@ def algebraic_digit_bracket(
     bounds beta0 * C(pdim, i) * pdim**reg from above.  Requires i <= codim
     (otherwise the lower bound is zero and has no digit count).
     """
-    return _digit_bracket(_module_shape(codim, pdim, reg, beta0, i), i, prec, paper_constants)
+    return _digit_bracket(*_module_shape(codim, pdim, reg, beta0, i), prec, paper_constants)
 
 
 def veronese_digit_bracket(
@@ -352,7 +367,7 @@ def veronese_digit_bracket(
     Certifies 10**exp_lo <= C(N,i)*N**-n and C(N,i)*N**n <= 10**exp_hi,
     with N the Veronese codimension; requires 0 <= i <= N.
     """
-    return _digit_bracket(_veronese_shape(n, d, i), i, prec, paper_constants)
+    return _digit_bracket(*_veronese_shape(n, d, i), prec, paper_constants)
 
 
 def variety_digit_bracket(
@@ -369,4 +384,4 @@ def variety_digit_bracket(
     bounds C(dim_l, i) * dim_l**reg from above.  Requires i <= dim_l - dim_x
     (otherwise the lower bound is zero and has no digit count).
     """
-    return _digit_bracket(_variety_shape(dim_l, dim_x, reg, i), i, prec, paper_constants)
+    return _digit_bracket(*_variety_shape(dim_l, dim_x, reg, i), prec, paper_constants)

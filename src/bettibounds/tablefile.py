@@ -79,9 +79,9 @@ def loads(text: str) -> BettiTable:
             raise TableFormatError(f"line {n}: homological index must be nonnegative")
         value = parse_rational(sv)
         if value <= 0:
-            raise TableFormatError(f"line {n}: value must be positive, got {sv}")
+            raise TableFormatError(f"line {n}: value must be positive, got {shown(value)}")
         if (i, j) in entries:
-            raise TableFormatError(f"line {n}: duplicate entry for ({i}, {j})")
+            raise TableFormatError(f"line {n}: duplicate entry for ({shown(i)}, {shown(j)})")
         entries[i, j] = value
     return BettiTable._trusted(entries)  # every entry was checked above
 

@@ -4,6 +4,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bettibounds import (
     BoundPair,
@@ -20,6 +21,7 @@ from bettibounds import (
     veronese_bounds,
     veronese_codim,
 )
+from bettibounds import bounds
 from bettibounds.bounds import ensure_binomial_budget
 from bettibounds.errors import shown
 from conftest import enumerate_pure_sequences, pascal_binomial
@@ -45,6 +47,38 @@ def test_binomial_budget_returns_the_binomial():
     assert exc_info.value.factor == "C(400, 200)"
     with pytest.raises(TooLarge):
         ensure_binomial_budget(10**60, 10**6, 10**6)  # decided without computing it
+
+
+def test_budget_rejects_from_the_lower_bit_bound_without_a_logarithm(monkeypatch):
+    # N has 4,400 digits, so C(N, 3) has about 13,200: the bit bound alone decides
+    big_n = veronese_codim(2, 10**2200).codim
+    calls = []
+    monkeypatch.setattr(bounds, "_log10_bracket", lambda *a, **k: calls.append("log"))
+    monkeypatch.setattr(math, "comb", lambda *a: calls.append("comb"))
+    with pytest.raises(TooLarge):
+        ensure_binomial_budget(big_n, 3, 10)
+    with pytest.raises(TooLarge):
+        pure_bounds(big_n, 2, 0, digit_budget=10)  # the power N**2
+    assert calls == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 3000), st.integers(0, 12), st.integers(1, 900))
+def test_budget_decision_is_the_digit_count(top, i, power, budget):
+    i = min(i, top)
+    try:
+        value = ensure_binomial_budget(top, i, budget)
+    except TooLarge:
+        assert math.comb(top, i) >= 10**budget
+    else:
+        assert value == math.comb(top, i) < 10**budget
+    base = top + 1
+    try:
+        pair = pure_bounds(base, power, 0, digit_budget=budget)
+    except TooLarge:
+        assert base**power >= 10**budget
+    else:
+        assert pair.upper == base**power < 10**budget
 
 
 def test_power_factor_is_budgeted():
@@ -152,6 +186,18 @@ def test_shown_is_the_text_up_to_40_characters_then_its_size(k):
         f"7/{10**k}" if k < 39 else f"<a fraction of 1/{k + 1} digits>")
     text = "7" * k
     assert shown(text) == (repr(text) if k <= 40 else f"a text of {k} characters")
+
+
+def test_shown_gives_a_tuple_of_ints_up_to_40_characters_then_its_length():
+    assert shown(()) == "()"
+    assert shown((5,)) == "(5,)"
+    assert shown((-3, 0, 12)) == "(-3, 0, 12)"
+    assert shown(tuple(range(12))) == "(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)"  # 38 characters
+    assert shown((0, 10**34)) == f"(0, {10**34})"  # 40 characters
+    assert shown((0, -10**34)) == "<a tuple of length 2>"  # 41
+    assert shown((10**37,)) == "<a tuple of length 1>"  # (x,) is 41
+    assert shown(tuple(range(13))) == "<a tuple of length 13>"  # 42
+    assert shown((0, 10**4400)) == "<a tuple of length 2>"
 
 
 def test_too_large_names_a_long_factor_by_its_digit_count():

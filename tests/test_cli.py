@@ -656,6 +656,35 @@ def test_domain_messages_name_a_long_integer_by_its_digit_count(capsys, argv, ex
     assert "integer of 4001 digits" in err
 
 
+#: BT1 files in the grammar whose message named a 4,001-digit value, with the
+#: extra argv and the exit code: a negative value, column minima that do not
+#: increase, a duplicate entry and a type outside [codim, pdim].
+ECHOED_FROM_A_TABLE = [
+    (f"BT1\n0 0 -{LONG}\n", (), 1),
+    (f"BT1\n0 {LONG} 1\n1 2 1\n", (), 2),
+    (f"BT1\n0 {LONG} 1\n0 {LONG} 2\n", (), 1),
+    (f"BT1\n0 0 1\n1 {LONG} 1\n", ("--codim", "5"), 2),
+]
+
+
+@pytest.mark.parametrize("text, extra, exit_code", ECHOED_FROM_A_TABLE,
+                         ids=["negative value", "minima", "duplicate entry", "codim"])
+def test_table_messages_name_a_long_value_by_its_size(capsys, tmp_path, text, extra, exit_code):
+    path = tmp_path / "long.bt1"
+    path.write_text(text)
+    for fmt in ("text", "machine"):
+        code, out, err = run(capsys, "decompose", str(path), *extra, "--format", fmt)
+        assert (code, out) == (exit_code, "")
+        assert err.startswith("betti: ") and err.count("\n") == 1 and len(err.encode()) <= 300
+
+
+def test_a_long_run_of_empty_rows_prints_as_one_line(capsys):
+    code, out, err = run(capsys, "pure", "0,1000000")
+    assert (code, err) == (0, "")
+    assert len(out.encode()) < 1024
+    assert "(999998 empty rows)" in out.splitlines()
+
+
 def test_a_negative_rational_is_a_value_not_an_option(capsys):
     # argparse's own matcher takes -15/3 for an option; the parser's reads it as -5
     expected = run(capsys, *EXACT_ARGV["module"], "--beta0", "-5")

@@ -172,3 +172,15 @@ def test_format_diagram():
     assert lines[2].split() == ["1:", ".", "10/3", ".", "."]
     assert lines[3].split() == ["2:", ".", ".", "5", "8/3"]
     assert format_diagram(BettiTable()) == "(empty table)"
+
+
+def test_format_diagram_folds_runs_of_more_than_40_empty_rows():
+    # pure_diagram((0, d)) fills rows 0 and d - 1, with d - 2 empty rows between
+    assert format_diagram(pure_diagram((0, 42))).splitlines() == [
+        "     0  1", " 0:  1  .", *(f"{r:>2}:  .  ." for r in range(1, 41)), "41:  .  1"]
+    assert format_diagram(pure_diagram((0, 43))).splitlines() == [
+        "     0  1", " 0:  1  .", "(41 empty rows)", "42:  .  1"]
+    # a table whose rows span 10**12 is rendered from its four entries
+    lines = format_diagram(pure_diagram((-100, 0, 1, 10**12))).splitlines()
+    assert [line.split(":")[0].strip() for line in lines[1:]] == [
+        "-100", "(98 empty rows)", "-1", "(999999999997 empty rows)", "999999999997"]

@@ -133,6 +133,21 @@ def test_index_messages_name_the_line_but_not_a_long_text():
     assert str(info.value) == "line 2: indices must be integers, got a text of 5004 characters"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("BT1\n0 0 0/5\n", "line 2: value must be positive, got 0"),
+    ("BT1\n0 0 -007\n", "line 2: value must be positive, got -7"),
+    (f"BT1\n0 0 -1{'0' * 4000}\n",
+     "line 2: value must be positive, got <an integer of 4001 digits>"),
+    ("BT1\n0 3 1\n0 3 2\n", "line 3: duplicate entry for (0, 3)"),
+    (f"BT1\n0 1{'0' * 4000} 1\n0 1{'0' * 4000} 2\n",
+     "line 3: duplicate entry for (0, <an integer of 4001 digits>)"),
+], ids=["0/5", "-007", "long value", "duplicate", "long duplicate"])
+def test_value_messages_show_the_parsed_value(text, message):
+    with pytest.raises(TableFormatError) as info:
+        loads(text)
+    assert str(info.value) == message
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(TableFormatError):
         load(tmp_path / "nope.bt1")
