@@ -34,7 +34,8 @@ def rational(value) -> Fraction:
 def shown(value) -> str:
     """How a message shows ``value``: a text quoted and an int, a Fraction or a
     tuple of ints as ``str`` gives it, or past 40 characters the text's length,
-    the number's digit counts or the tuple's length, found without int->str."""
+    the number's sign and digit counts or the tuple's length, found without
+    int->str."""
     if isinstance(value, str):
         return repr(value) if len(value) <= 40 else f"a text of {len(value)} characters"
     if isinstance(value, tuple):  # str: each entry and ", ", the last ", " standing for "()"
@@ -44,9 +45,10 @@ def shown(value) -> str:
     top, bottom = _digits(num), _digits(den)
     if (num < 0) + top + (den != 1) * (1 + bottom) <= 40:
         return str(value)
+    article = "a negative" if num < 0 else "an" if den == 1 else "a"
     if den == 1:
-        return f"<an integer of {top} digits>"
-    return f"<a fraction of {top}/{bottom} digits>"
+        return f"<{article} integer of {top} digits>"
+    return f"<{article} fraction of {top}/{bottom} digits>"
 
 
 class BettiError(Exception):

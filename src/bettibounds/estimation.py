@@ -78,7 +78,8 @@ class LogBracket:
             raise DomainError(f"bracket endpoints out of order: [{self.lo}, {self.hi}]")
 
     def contains(self, value) -> bool:
-        value = Decimal(value) if not isinstance(value, Decimal) else value
+        """Whether lo <= value <= hi, for a Decimal, an int or a Fraction; TypeError otherwise."""
+        value = value if isinstance(value, Decimal) else rational(value)
         return self.lo <= value <= self.hi
 
     def encloses(self, other: "LogBracket") -> bool:

@@ -3,6 +3,7 @@ with ``operator.index`` and every rational one as an int or a Fraction, so a
 float or a text is a TypeError, never parsed, truncated or taken approximately.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from bettibounds import (
     Decomposition,
     DigitBracket,
     DomainError,
+    LogBracket,
     algebraic_bounds,
     algebraic_digit_bracket,
     check_descending_factorial_bound,
@@ -153,30 +155,42 @@ def test_text_is_not_read_as_a_number():
         BettiTable({(0, 0): 0.1})  # would be 3602879701896397/36028797018963968
 
 
+
+def test_a_log_bracket_contains_a_decimal_an_int_or_a_fraction():
+    bracket = LogBracket(Decimal(0), Decimal(10))
+    assert bracket.contains(Decimal("9.5")) and bracket.contains(0) and bracket.contains(10)
+    assert bracket.contains(Fraction(19, 2)) and not bracket.contains(Fraction(21, 2))
+    for value in (" 1e0 ", "1", 0.1, 1.0):  # Decimal's parser and float constructor take these
+        with pytest.raises(TypeError):
+            bracket.contains(value)
+
+
 BIG = 10**50  # shown as <an integer of 51 digits>
 NAMED = "<an integer of 51 digits>"
+NEGATIVE = "<a negative integer of 51 digits>"  # -BIG
 
 #: A call that raises DomainError, and its message, which names BIG by its size.
 MESSAGES = [
-    (lambda: BettiTable({(-BIG, 0): 1}), f"homological index must be nonnegative, got {NAMED}"),
+    (lambda: BettiTable({(-BIG, 0): 1}), f"homological index must be nonnegative, got {NEGATIVE}"),
     (lambda: BettiTable({(0, BIG): -1}), f"entry at (0, {NAMED}) must be positive, got -1"),
     (lambda: BoundPair(Fraction(BIG), Fraction(0)), f"lower bound {NAMED} exceeds upper bound 0"),
     (lambda: DigitBracket(BIG, 0), f"exponents out of order: [{NAMED}, 0]"),
     (lambda: Decomposition(((Fraction(-1, BIG), (0, 1)),)).reconstruct(),
-     "coefficient <a fraction of 1/51 digits> is not positive"),
+     "coefficient <a negative fraction of 1/51 digits> is not positive"),
     (lambda: verify_decomposition(TABLE, Decomposition(((1, (0, BIG)), (1, (0, 1))))),
      "types <a tuple of length 2> and (0, 1) do not increase strictly"),
     (lambda: verify_decomposition(TABLE, decompose(TABLE), codim=BIG),
      f"type (0, 2, 3) has length 2, outside [{NAMED}, 2]"),
     (lambda: extremal_sequences(4, BIG, 2, -1), f"offset a must lie in [0, {NAMED}], got -1"),
     (lambda: check_rising_factorial_bound(-BIG, 1, 0),
-     f"need n >= 1, 1 <= i <= n, a >= 0; got ({NAMED}, 1, 0)"),
-    (lambda: check_descending_factorial_bound(-BIG, 0), f"need a, b >= 0; got ({NAMED}, 0)"),
-    (lambda: log_factorial_bracket(-BIG), f"factorial argument must be nonnegative, got {NAMED}"),
+     f"need n >= 1, 1 <= i <= n, a >= 0; got ({NEGATIVE}, 1, 0)"),
+    (lambda: check_descending_factorial_bound(-BIG, 0), f"need a, b >= 0; got ({NEGATIVE}, 0)"),
+    (lambda: log_factorial_bracket(-BIG),
+     f"factorial argument must be nonnegative, got {NEGATIVE}"),
     (lambda: log_binomial_bracket(BIG, -1), f"column index must lie in [0, {NAMED}], got -1"),
     (lambda: exact_log_binomial(5, BIG), f"column index must lie in [0, 5], got {NAMED}"),
     (lambda: pure_digit_bracket(18, 2, 7, -BIG),
-     f"precision must be a positive integer, got {NAMED}"),
+     f"precision must be a positive integer, got {NEGATIVE}"),
 ]
 
 

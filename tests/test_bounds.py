@@ -179,11 +179,14 @@ def test_too_large_pickles():
 @pytest.mark.parametrize("k", [1, 39, 40, 41, 4400])
 def test_shown_is_the_text_up_to_40_characters_then_its_size(k):
     for n, digits in [(10**k - 1, k), (10**k, k + 1), (1 - 10**k, k)]:
-        expected = str(n) if digits + (n < 0) <= 40 else f"<an integer of {digits} digits>"
+        name = "a negative" if n < 0 else "an"
+        expected = str(n) if digits + (n < 0) <= 40 else f"<{name} integer of {digits} digits>"
         assert shown(n) == expected
     assert shown(Fraction(-7, 3)) == "-7/3"
     assert shown(Fraction(7, 10**k)) == (
         f"7/{10**k}" if k < 39 else f"<a fraction of 1/{k + 1} digits>")
+    assert shown(Fraction(-7, 10**k)) == (
+        f"-7/{10**k}" if k < 39 else f"<a negative fraction of 1/{k + 1} digits>")
     text = "7" * k
     assert shown(text) == (repr(text) if k <= 40 else f"a text of {k} characters")
 
@@ -207,6 +210,49 @@ def test_too_large_names_a_long_factor_by_its_digit_count():
                           "budget of <an integer of 51 digits> decimal digits; "
                           "use the digit-bracket estimator")
     assert TooLarge(7, 10**40, 5, power=True).factor == "7**<an integer of 41 digits>"
+
+
+# -- one binomial per bound ---------------------------------------------------
+
+
+def smaller_binomial(c, a, i):
+    return bounds._smaller_binomial(math.comb(c, i), c, a, i)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 700), st.integers(0, 700),
+       st.one_of(st.integers(0, 12), st.integers(0, 700)))
+def test_the_smaller_binomial_is_the_binomial(c, i, gap):
+    i, gap = min(i, c), min(gap, c)
+    assert smaller_binomial(c, c - gap, i) == math.comb(c - gap, i)
+
+
+@pytest.mark.parametrize("c, a, i", [
+    (1000, 996, 500), (1000, 996, 996), (1000, 996, 998), (1000, 996, 1000),  # i <, =, > a
+    (1000, 500, 400), (1000, 500, 800),  # a gap past the rule, i < a and i > a
+    (20000, 19625, 3000), (20000, 19624, 3000),  # gaps i // 8 and i // 8 + 1
+    (20000, 20000, 3000), (20000, 0, 3000), (20000, 0, 0), (20000, 19999, 0),
+])
+def test_the_smaller_binomial_on_both_sides_of_the_rule(c, a, i):
+    assert smaller_binomial(c, a, i) == math.comb(a, i)
+
+
+def test_an_exact_bound_computes_one_binomial(monkeypatch):
+    comb, calls = math.comb, []
+
+    def counted(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counted)
+    module = algebraic_bounds(2000, 2003, 2, Fraction(1, 2), 300)
+    assert calls == [(2003, 300), (0, 0)]  # C(0, 0) is the budget check of the power
+    assert module == BoundPair(Fraction(comb(2000, 300), 2 * 2000**2),
+                               Fraction(comb(2003, 300) * 2003**2, 2))
+    calls.clear()
+    variety = variety_bounds(5000, 1, 2, 600)
+    assert calls == [(5000, 600), (0, 0)]
+    assert variety == BoundPair(Fraction(comb(4999, 600), 5000**2), comb(5000, 600) * 5000**2)
 
 
 # -- pure-diagram bounds ------------------------------------------------------

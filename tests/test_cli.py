@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -575,6 +576,55 @@ def test_max_exact_digits_flag(capsys):
             assert run(capsys, *argv, "--max-exact-digits", bad)[0] == 1
     for argv in EXACT_ARGV.values():
         assert run_json(capsys, *argv, "--max-exact-digits", "2001")["results"]["mode"] == "exact"
+
+
+# -- exact numbers as text ---------------------------------------------------------
+
+
+def same_as_str(value):
+    """Whether ``_text`` writes value as ``str`` does, both with the limit lifted as
+    ``main`` lifts it."""
+    with int_str_limit(0):
+        return cli._text(value) == str(value)
+
+
+def around_the_split():
+    """10**k and 2**k, each -1, +0 and +1 and negated, for bit lengths around
+    the one past which ``_text`` splits an integer."""
+    k = cli._SPLIT_BITS * 30103 // 10**5  # 10**k has about _SPLIT_BITS bits
+    powers = [(f"10**{e}", 10**e) for e in (k - 1, k, k + 1)]
+    powers += [(f"2**{e}", 2**e) for e in range(cli._SPLIT_BITS - 1, cli._SPLIT_BITS + 2)]
+    return [pytest.param(sign * (base + offset), id=f"{'-' * (sign < 0)}({name}{offset:+d})")
+            for name, base in powers for offset in (-1, 0, 1) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("n", around_the_split())
+def test_text_is_str_around_the_split(n):
+    assert same_as_str(n) and same_as_str(Fraction(n, 3)) and same_as_str(Fraction(7, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64), st.booleans(), st.integers(1, 64))
+def test_text_is_str_up_to_200000_digits(seed, negative, den):
+    rng = random.Random(seed)
+    bits = int(2 ** rng.uniform(0, math.log2(665_000)))  # log-uniform up to 200,000 digits
+    n = rng.getrandbits(bits) * (-1 if negative else 1)
+    assert same_as_str(n) and same_as_str(Fraction(n, den)) and same_as_str(Fraction(den, n or 1))
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_bounds_past_the_split_print_as_str(capsys, fmt):
+    # C(100000, 10000) has 14,115 digits
+    code, out, err = run(capsys, "bounds", "variety", "--dim-l", "100000", "--dim-x", "1",
+                         "--reg", "2", "-i", "10000", "--format", fmt)
+    assert (code, err) == (0, "")
+    with int_str_limit(0):
+        lower = str(Fraction(math.comb(99999, 10000), 100000**2))
+        upper = str(math.comb(100000, 10000) * 100000**2)
+    if fmt == "text":
+        assert out == f"lower = {lower}\nupper = {upper}\n"
+    else:
+        assert json.loads(out)["results"] == {"mode": "exact", "lower": lower, "upper": upper}
 
 
 # -- dim-l -----------------------------------------------------------------------

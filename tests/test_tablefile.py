@@ -137,7 +137,7 @@ def test_index_messages_name_the_line_but_not_a_long_text():
     ("BT1\n0 0 0/5\n", "line 2: value must be positive, got 0"),
     ("BT1\n0 0 -007\n", "line 2: value must be positive, got -7"),
     (f"BT1\n0 0 -1{'0' * 4000}\n",
-     "line 2: value must be positive, got <an integer of 4001 digits>"),
+     "line 2: value must be positive, got <a negative integer of 4001 digits>"),
     ("BT1\n0 3 1\n0 3 2\n", "line 3: duplicate entry for (0, 3)"),
     (f"BT1\n0 1{'0' * 4000} 1\n0 1{'0' * 4000} 2\n",
      "line 3: duplicate entry for (0, <an integer of 4001 digits>)"),
